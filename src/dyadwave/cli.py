@@ -10,6 +10,7 @@ least one tolerance failure, 2 configuration or IO error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -330,7 +331,8 @@ def _cz_corpus_member(depth, seed):
     kind = seed % 3
     n = 2 ** depth
     if kind == 0:
-        data = rng.standard_normal(n) * np.exp(rng.standard_normal(n))
+        normal = rng.standard_normal(n)
+        data = normal * lpharness.libm_map(math.exp, rng.standard_normal(n))
     elif kind == 1:
         data = np.zeros(n)
         for _ in range(6):
@@ -339,7 +341,8 @@ def _cz_corpus_member(depth, seed):
             data[lo:hi] += rng.standard_normal() * 4.0
     else:
         x = (np.arange(n) + 0.5) / n
-        data = np.sin(9.0 * x) + 8.0 * np.exp(-((x - 0.5) / 0.02) ** 2)
+        data = (lpharness.libm_map(math.sin, 9.0 * x)
+                + 8.0 * lpharness.libm_map(math.exp, -((x - 0.5) / 0.02) ** 2))
     return gridfn.GridFunction(data + 0j, depth, (int(rng.integers(-n, n)),))
 
 

@@ -11,6 +11,14 @@ the complement W of the closed set F satisfies |W| <= ||f||_1 / alpha, and
 the good/bad split g = f on F, g = average on each Q, h_Q = (f - avg) chi_Q
 has mean-zero bad parts.  All sums are exact cell sums on the grid, so the
 inequalities hold with the dyadic constants, not just asymptotically.
+
+The stopping time runs scale by scale, from the two halves of the root
+down to single cells.  The live cubes at scale s are the children of the
+cubes at scale s - 1 that carry mass and were not selected; their masses
+are differences of one prefix-sum table, looked up for the whole scale at
+once.  Only children of cubes that meet the support are ever live, so a
+function of n cells gives O(n + m + depth) live cubes in all, and the
+decomposition and its verification take time linear in cells and cubes.
 """
 
 from __future__ import annotations
@@ -20,10 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaTooSmall, DegenerateF
+from .errors import AlphaTooSmall, DegenerateF, DepthMismatch
 from .gridfn import GridFunction, l1_norm, lp_norm
 
 MAX_ROOT_EXPONENT = 40
+
+# grid coordinates of magnitude below 2**62 leave int64 room for offsets
+_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,82 @@ def _real_data(f):
     return f.data.real
 
 
+class _PrefixSums:
+    """Cell-rule integrals of one sampled function over grid ranges.
+
+    The table holds the running cell sums times the cell width, so the
+    integral over [lo, hi) is ``table[ib] - table[ia]`` with both ends
+    clipped to the function's box; a clipped range that is empty has
+    ib == ia and gives exactly 0.0.  lo and hi are integer arrays (object
+    arrays for coordinates beyond int64) and are looked up all at once.
+    """
+
+    def __init__(self, values, origin, cell):
+        self.table = np.concatenate([[0.0], np.cumsum(values)]) * cell
+        self.origin = origin
+
+    def __call__(self, lo, hi):
+        size = self.table.size - 1
+        out = self.table[_offsets(hi, self.origin, size)]
+        out -= self.table[_offsets(lo, self.origin, size)]
+        return out
+
+
+def _offsets(x, base, count):
+    """x - base clipped to 0..count, as array indices."""
+    x = x - base
+    np.clip(x, 0, count, out=x)
+    return x.astype(np.intp, copy=False)
+
+
+def _index_array(values):
+    """Grid coordinates as int64, or as Python ints where int64 is short."""
+    if all(-_INT64_SAFE < v < _INT64_SAFE for v in values):
+        return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
+
+
+def _stopping_time(mass_of, integral_of, alpha, depth, m):
+    """Maximal dyadic cubes in [-2^m, 2^m) whose |f| average exceeds alpha.
+
+    Returns the cubes sorted by left end, their signed averages and their
+    |f| averages.  Only one scale's arrays are alive at a time.
+    """
+    # the two halves of the root are the dyadic intervals [-2^m, 0) and
+    # [0, 2^m); their stopping-time parent is the root, average <= alpha.
+    # Every grid coordinate below lies within the root, |x| <= 2^(depth+m)
+    fits = (1 << (depth + m)) < _INT64_SAFE
+    live = np.array([-1, 0], dtype=np.int64 if fits else object)
+    picked = []     # per scale: left ends, scales, indices, averages, |avgs|
+    for s in range(-m, depth + 1):
+        span = 1 << (depth - s)
+        width = 2.0 ** (-s)
+        lo = live * span
+        mass = mass_of(lo, lo + span)
+        avg = mass / width
+        chosen = avg > alpha
+        if chosen.any():
+            lo_q = lo[chosen]
+            signed = integral_of(lo_q, lo_q + span) / width
+            picked.append((lo_q, np.full(lo_q.size, s), live[chosen], signed,
+                           avg[chosen]))
+        # a single cell with average <= alpha belongs to F
+        parents = live[(mass != 0.0) & ~chosen]
+        if s == depth or not parents.size:
+            break
+        live = np.repeat(2 * parents, 2)
+        live[1::2] += 1
+    if not picked:
+        return [], [], []
+    lefts, scales, indices, avgs, abs_avgs = (
+        np.concatenate(column) for column in zip(*picked))
+    # disjoint cubes have distinct left ends, so this order is unique
+    order = np.argsort(lefts, kind="stable")
+    cubes = [Cube(s, i) for s, i in zip(scales[order].tolist(),
+                                        indices[order].tolist())]
+    return cubes, avgs[order].tolist(), abs_avgs[order].tolist()
+
+
 def cz_decompose(f, alpha):
     """Split f at level alpha into good and mean-zero bad parts."""
     if alpha <= 0:
@@ -86,16 +173,6 @@ def cz_decompose(f, alpha):
     total_abs = float(np.abs(data).sum()) * cell
     if total_abs == 0.0:
         raise ValueError("decomposition needs nonzero L1 mass")
-
-    prefix_abs = np.concatenate([[0.0], np.cumsum(np.abs(data))]) * cell
-    prefix = np.concatenate([[0.0], np.cumsum(data)]) * cell
-
-    def integral(lo, hi, table):
-        ia = min(max(lo - origin, 0), size)
-        ib = min(max(hi - origin, 0), size)
-        if ib <= ia:
-            return 0.0
-        return float(table[ib] - table[ia])
 
     # root [-2^m, 2^m): must cover the support and carry average <= alpha
     m = 0
@@ -111,43 +188,18 @@ def cz_decompose(f, alpha):
                 f"root average stays above alpha={alpha} up to exponent "
                 f"{MAX_ROOT_EXPONENT}")
 
-    cubes = []
-    averages = []
-    abs_averages = []
-    # the two halves of the root are the dyadic intervals [-2^m, 0) and
-    # [0, 2^m); their stopping-time parent is the root, average <= alpha
-    stack = [Cube(-m, -1), Cube(-m, 0)]
-    while stack:
-        cube = stack.pop()
-        lo, hi = cube.grid_range(depth)
-        mass = integral(lo, hi, prefix_abs)
-        if mass == 0.0:
-            continue
-        avg = mass / cube.width
-        if avg > alpha:
-            cubes.append(cube)
-            averages.append(integral(lo, hi, prefix) / cube.width)
-            abs_averages.append(avg)
-        elif cube.scale < depth:
-            stack.append(Cube(cube.scale + 1, 2 * cube.index))
-            stack.append(Cube(cube.scale + 1, 2 * cube.index + 1))
-        # a single cell with average <= alpha belongs to F
-
-    order = sorted(range(len(cubes)), key=lambda i: cubes[i].bounds()[0])
-    cubes = [cubes[i] for i in order]
-    averages = [averages[i] for i in order]
-    abs_averages = [abs_averages[i] for i in order]
+    cubes, averages, abs_averages = _stopping_time(
+        _PrefixSums(np.abs(data), origin, cell),
+        _PrefixSums(data, origin, cell), alpha, depth, m)
 
     # good part lives on the union of the f-box and every selected cube
-    g_lo, g_hi = origin, origin + size
-    for cube in cubes:
-        lo, hi = cube.grid_range(depth)
-        g_lo, g_hi = min(g_lo, lo), max(g_hi, hi)
+    ranges = [c.grid_range(depth) for c in cubes]
+    g_lo = min([origin] + [lo for lo, _ in ranges])
+    g_hi = max([origin + size] + [hi for _, hi in ranges])
     g_data = np.zeros(g_hi - g_lo, dtype=np.complex128)
     g_data[origin - g_lo:origin - g_lo + size] = data
     bad_parts = []
-    for cube, avg in zip(cubes, averages):
-        lo, hi = cube.grid_range(depth)
+    for cube, (lo, hi), avg in zip(cubes, ranges, averages):
         h_data = g_data[lo - g_lo:hi - g_lo] - avg
         bad_parts.append(GridFunction(h_data, depth, (lo,),
                                       meta=f"bad[{cube.scale},{cube.index}]"))
@@ -172,24 +224,37 @@ class Check:
     note: str = ""
 
 
-def _components(dec, depth):
-    """Maximal runs of adjacent selected cubes, in grid units."""
-    ranges = sorted(c.grid_range(depth) for c in dec.cubes)
-    merged = []
-    for lo, hi in ranges:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
+def _cube_ranges(cubes, depth):
+    """Grid ranges [lo, hi) of the cubes as two integer arrays, by lo."""
+    ranges = sorted(c.grid_range(depth) for c in cubes)
+    return (_index_array([lo for lo, _ in ranges]),
+            _index_array([hi for _, hi in ranges]))
+
+
+def _components(lo, hi):
+    """Maximal runs of adjacent or overlapping ranges sorted by lo, as
+    starts and ends in grid units."""
+    if not lo.size:
+        return lo, hi
+    reach = np.maximum.accumulate(hi)
+    first = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1]]))
+    last = np.concatenate([first[1:] - 1, [lo.size - 1]]).astype(np.intp)
+    return lo[first], reach[last]
+
+
+def _covered(lo, hi, base, count):
+    """Mask of the cells base .. base + count - 1 that lie in some [lo, hi)."""
+    edges = (np.bincount(_offsets(lo, base, count), minlength=count + 1)
+             - np.bincount(_offsets(hi, base, count), minlength=count + 1))
+    return np.cumsum(edges[:-1]) > 0
 
 
 def distance_to_f(dec, depth):
     """rho(., F) at the cell midpoints of W, component by component."""
-    comps = _components(dec, depth)
+    starts, ends = _components(*_cube_ranges(dec.cubes, depth))
     cell = 2.0 ** (-depth)
     out = {}
-    for lo, hi in comps:
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
         mids = (np.arange(lo, hi) + 0.5) * cell
         out[(lo, hi)] = np.minimum(mids - lo * cell, hi * cell - mids)
     return out
@@ -199,7 +264,8 @@ def verify_cz(dec, f):
     """Recompute every structural property of a decomposition of f.
 
     Returns a list of named checks with measured constants; the distance
-    comparability constants are reported, never asserted.
+    comparability constants are reported, never asserted.  Everything is
+    recomputed from f and the cubes; the stored averages are not read.
     """
     data = _real_data(f)
     depth = f.depth
@@ -212,22 +278,25 @@ def verify_cz(dec, f):
     # allows last-bit rounding of the interval sums
     eps = 1e-12
 
-    # reconstruction f = g + sum h_r, cellwise
-    recon = dec.good
-    for part in dec.bad_parts:
-        recon = recon + part
-    diff = recon - f
-    checks.append(Check("reconstruction", float(np.abs(diff.data).max()) <= 1e-12,
-                        float(np.abs(diff.data).max()), 1e-12))
+    # reconstruction f = g + sum h_r, cellwise, in one buffer on the union
+    # of the boxes; the parts are added in order, as g + h_1 + h_2 + ...
+    parts = (dec.good,) + tuple(dec.bad_parts)
+    if any(p.depth != depth for p in parts):
+        raise DepthMismatch("decomposition and f have different depths")
+    r_lo = min(p.origin[0] for p in parts + (f,))
+    r_hi = max(p.origin[0] + p.shape[0] for p in parts + (f,))
+    recon = np.zeros(r_hi - r_lo, dtype=np.complex128)
+    for p in parts:
+        recon[p.origin[0] - r_lo:p.origin[0] - r_lo + p.shape[0]] += p.data
+    recon[origin - r_lo:origin - r_lo + data.size] -= f.data
+    worst_recon = float(np.abs(recon).max())
+    del recon
+    checks.append(Check("reconstruction", worst_recon <= 1e-12,
+                        worst_recon, 1e-12))
 
     # |f| <= alpha on F (cells outside every cube)
-    w_mask = np.zeros(data.size, dtype=bool)
-    for cube in dec.cubes:
-        lo, hi = cube.grid_range(depth)
-        ia, ib = max(lo - origin, 0), min(hi - origin, data.size)
-        if ib > ia:
-            w_mask[ia:ib] = True
-    f_vals = np.abs(data[~w_mask])
+    lo, hi = _cube_ranges(dec.cubes, depth)
+    f_vals = np.abs(data[~_covered(lo, hi, origin, data.size)])
     worst_f = float(f_vals.max()) if f_vals.size else 0.0
     checks.append(Check("good_bound_on_f", worst_f <= alpha * (1 + eps),
                         worst_f, alpha))
@@ -236,28 +305,18 @@ def verify_cz(dec, f):
     checks.append(Check("mes_w", mes_w <= norm1 / alpha * (1 + eps), mes_w,
                         norm1 / alpha))
 
-    ranges = sorted(c.grid_range(depth) for c in dec.cubes)
-    disjoint = all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:]))
+    disjoint = bool(np.all(hi[:-1] <= lo[1:]))
     checks.append(Check("disjoint", disjoint, 0.0 if disjoint else 1.0, 0.0))
 
-    prefix_abs = np.concatenate([[0.0], np.cumsum(np.abs(data))]) * cell
-    prefix = np.concatenate([[0.0], np.cumsum(data)]) * cell
-
-    def integral(lo, hi, table):
-        ia = min(max(lo - origin, 0), data.size)
-        ib = min(max(hi - origin, 0), data.size)
-        return float(table[ib] - table[ia]) if ib > ia else 0.0
-
-    avg_lo, avg_hi, parent_ok = np.inf, 0.0, True
-    for cube in dec.cubes:
-        lo, hi = cube.grid_range(depth)
-        avg = integral(lo, hi, prefix_abs) / cube.width
-        avg_lo, avg_hi = min(avg_lo, avg), max(avg_hi, avg)
-        par = cube.parent()
-        plo, phi = par.grid_range(depth)
-        if integral(plo, phi, prefix_abs) / par.width > alpha * (1 + eps):
-            parent_ok = False
+    mass_of = _PrefixSums(np.abs(data), origin, cell)
+    span = hi - lo
+    widths = (span * cell).astype(np.float64)
+    avgs = mass_of(lo, hi) / widths
+    p_lo = lo - lo % (2 * span)
+    parent_avgs = mass_of(p_lo, p_lo + 2 * span) / (2 * widths)
+    parent_ok = not bool(np.any(parent_avgs > alpha * (1 + eps)))
     if dec.cubes:
+        avg_lo, avg_hi = float(avgs.min()), float(avgs.max())
         checks.append(Check("cube_avg_above", avg_lo > alpha * (1 - eps),
                             avg_lo, alpha, note="strict lower bound"))
         checks.append(Check("cube_avg_doubling",
@@ -290,20 +349,19 @@ def verify_cz(dec, f):
     checks.append(Check("bad_l1", l1_ok, l1_worst_ratio, 4.0,
                         note="ratio to alpha * |Q|"))
 
-    # distance comparability: measured, report-only
+    # distance comparability: measured, report-only.  rho(., F) rises from
+    # the left end of each component and falls toward its right end, so its
+    # least value on a cube is at the cube's first or last cell
     if dec.cubes:
-        rho = distance_to_f(dec, depth)
-        ratios = []
-        for cube in dec.cubes:
-            lo, hi = cube.grid_range(depth)
-            for (clo, chi), dists in rho.items():
-                if clo <= lo and hi <= chi:
-                    inf_rho = float(dists[lo - clo:hi - clo].min())
-                    ratios.append(inf_rho / cube.width)
-                    break
-        checks.append(Check("distance_ratio_min", True, min(ratios),
+        starts, ends = _components(lo, hi)
+        k = np.searchsorted(starts, lo, side="right") - 1
+        c_lo, c_hi = starts[k], ends[k]
+        rho_first = (lo + 0.5) * cell - c_lo * cell
+        rho_last = c_hi * cell - ((hi - 1) + 0.5) * cell
+        ratios = np.minimum(rho_first, rho_last).astype(np.float64) / widths
+        checks.append(Check("distance_ratio_min", True, float(ratios.min()),
                             note="measured c3, not asserted"))
-        checks.append(Check("distance_ratio_max", True, max(ratios),
+        checks.append(Check("distance_ratio_max", True, float(ratios.max()),
                             note="measured c4, not asserted"))
     return checks
 
@@ -314,6 +372,8 @@ def marcinkiewicz_integral(dec, f, radius):
     rho vanishes on F so the inner integral only sees W; both integrals are
     cell sums at the grid depth with |x - u| <= radius enforced.  The
     truncation window must dominate the support (radius >= 8 * diameter).
+    The kernel is 1 / (d * d) and each block is summed by numpy's pairwise
+    sum, so the value does not depend on the BLAS or the SIMD target.
     """
     depth = f.depth
     cell = 2.0 ** (-depth)
@@ -325,21 +385,14 @@ def marcinkiewicz_integral(dec, f, radius):
     rho = distance_to_f(dec, depth)
     if not rho:
         return 0.0, 0.0, 0.0
-    u_pos = []
-    u_rho = []
-    for (lo, hi), dists in rho.items():
-        u_pos.append((np.arange(lo, hi) + 0.5) * cell)
-        u_rho.append(dists)
-    u_pos = np.concatenate(u_pos)
-    u_rho = np.concatenate(u_rho)
+    u_pos = np.concatenate([(np.arange(lo, hi) + 0.5) * cell
+                            for lo, hi in rho])
+    u_rho = np.concatenate(list(rho.values()))
 
-    w_cells = set()
-    for cube in dec.cubes:
-        lo, hi = cube.grid_range(depth)
-        w_cells.update(range(lo, hi))
     x_lo = int(np.floor(-radius * scale))
     x_hi = int(np.ceil(radius * scale))
-    x_idx = np.array([i for i in range(x_lo, x_hi) if i not in w_cells])
+    in_w = _covered(*_cube_ranges(dec.cubes, depth), x_lo, x_hi - x_lo)
+    x_idx = x_lo + np.flatnonzero(~in_w)
     if x_idx.size == 0:
         raise DegenerateF("no F cells inside the truncation window")
     x_pos = (x_idx + 0.5) * cell
@@ -349,8 +402,8 @@ def marcinkiewicz_integral(dec, f, radius):
     for start in range(0, x_pos.size, block):
         xs = x_pos[start:start + block]
         diff = np.abs(xs[:, None] - u_pos[None, :])
-        kernel = np.where(diff <= radius, diff, np.inf) ** -2.0
-        total += float((kernel @ u_rho).sum()) * cell * cell
+        kernel = np.where(diff <= radius, 1.0 / (diff * diff), 0.0)
+        total += float(np.sum(kernel * u_rho)) * cell * cell
     mes_w = dec.mes_w
     return total, mes_w, (total / mes_w if mes_w else 0.0)
 

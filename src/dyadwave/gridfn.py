@@ -129,13 +129,23 @@ def union_box(*boxes):
 def embed(f, box):
     """Zero-extend f onto a covering box; returns a plain array."""
     out = np.zeros(tuple(hi - lo for lo, hi in box), dtype=np.complex128)
-    sel = tuple(slice(fo - lo, fo - lo + n)
-                for (lo, _), fo, n in zip(box, f.origin, f.shape))
-    out[sel] = f.data
+    out[_slot(f, box)] = f.data
     return out
 
 
+def _slot(f, box):
+    """Index of f's cells within an array laid out on a covering box."""
+    return tuple(slice(fo - lo, fo - lo + n)
+                 for (lo, _), fo, n in zip(box, f.origin, f.shape))
+
+
 def combine(f, g, op):
+    """op(f, g) cellwise on the union box, both zero-extended.
+
+    op is a binary ufunc with op(x, 0) == x (add, subtract): f is embedded
+    once and op runs in place on g's slice, so only the output is
+    allocated.
+    """
     if not isinstance(g, GridFunction):
         return NotImplemented
     if f.depth != g.depth:
@@ -143,8 +153,10 @@ def combine(f, g, op):
     if f.dim != g.dim:
         raise ValueError(f"dimensions {f.dim} != {g.dim}")
     box = union_box(f.box(), g.box())
-    return GridFunction(op(embed(f, box), embed(g, box)), f.depth,
-                        tuple(lo for lo, _ in box))
+    out = embed(f, box)
+    sel = _slot(g, box)
+    op(out[sel], g.data, out=out[sel])
+    return GridFunction(out, f.depth, tuple(lo for lo, _ in box))
 
 
 def sample(fn, depth, box, meta=""):

@@ -326,9 +326,13 @@ def synthesize_nd(coeffs, shift_firsts, levels, banks, depth, cache=None):
     return GridFunction(data, depth, tuple(origins), meta="synthesize_nd")
 
 
-def _libm_exp(x):
-    """exp through libm, elementwise; np.exp's SIMD loops round per CPU."""
-    return np.array([math.exp(v) for v in x.tolist()])
+def libm_map(fn, x):
+    """fn from :mod:`math` (libm), elementwise over a 1-D float array.
+
+    numpy's SIMD loops for exp, sin and the like round differently per CPU;
+    libm gives the same bits on every CPU.
+    """
+    return np.fromiter(map(fn, x.tolist()), np.float64, count=x.size)
 
 
 def _separable(factors, depth, meta):
@@ -361,7 +365,7 @@ def standard_corpus(dim, depth, seed, banks=None, block_level=None):
     out = []
 
     def gauss(c, w):
-        return lambda x: _libm_exp(-(((x - c) / w) ** 2))
+        return lambda x: libm_map(math.exp, -(((x - c) / w) ** 2))
 
     def cos_sq(x):
         return np.cos(np.pi * np.clip(x - 0.5, -0.5, 0.5)) ** 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadwave import czd
+from dyadwave import cli, czd
 from dyadwave import gridfn as gf
 from dyadwave import lpharness as lp
 from dyadwave import mrand
@@ -134,6 +134,286 @@ def test_reconstruction_bitlevel(rng):
     for part in dec.bad_parts:
         recon = recon + part
     assert np.abs((recon - f).data).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the depth-first stopping time, the part-by-part reconstruction and the
+# component scan of the first implementation, kept as a bit-level oracle
+
+
+def oracle_decompose(f, alpha):
+    data = f.data.real
+    depth = f.depth
+    origin = f.origin[0]
+    size = data.size
+    cell = 2.0 ** (-depth)
+    total_abs = float(np.abs(data).sum()) * cell
+    prefix_abs = np.concatenate([[0.0], np.cumsum(np.abs(data))]) * cell
+    prefix = np.concatenate([[0.0], np.cumsum(data)]) * cell
+
+    def integral(lo, hi, table):
+        ia = min(max(lo - origin, 0), size)
+        ib = min(max(hi - origin, 0), size)
+        if ib <= ia:
+            return 0.0
+        return float(table[ib] - table[ia])
+
+    m = 0
+    scale = 1 << depth
+    while (-(1 << m)) * scale > origin or (origin + size) > (1 << m) * scale:
+        m += 1
+    while total_abs / (2.0 ** (m + 1)) > alpha:
+        m += 1
+
+    cubes, averages, abs_averages = [], [], []
+    stack = [czd.Cube(-m, -1), czd.Cube(-m, 0)]
+    while stack:
+        cube = stack.pop()
+        lo, hi = cube.grid_range(depth)
+        mass = integral(lo, hi, prefix_abs)
+        if mass == 0.0:
+            continue
+        avg = mass / cube.width
+        if avg > alpha:
+            cubes.append(cube)
+            averages.append(integral(lo, hi, prefix) / cube.width)
+            abs_averages.append(avg)
+        elif cube.scale < depth:
+            stack.append(czd.Cube(cube.scale + 1, 2 * cube.index))
+            stack.append(czd.Cube(cube.scale + 1, 2 * cube.index + 1))
+
+    order = sorted(range(len(cubes)), key=lambda i: cubes[i].bounds()[0])
+    cubes = [cubes[i] for i in order]
+    averages = [averages[i] for i in order]
+    abs_averages = [abs_averages[i] for i in order]
+
+    g_lo, g_hi = origin, origin + size
+    for cube in cubes:
+        lo, hi = cube.grid_range(depth)
+        g_lo, g_hi = min(g_lo, lo), max(g_hi, hi)
+    g_data = np.zeros(g_hi - g_lo, dtype=np.complex128)
+    g_data[origin - g_lo:origin - g_lo + size] = data
+    bad_parts = []
+    for cube, avg in zip(cubes, averages):
+        lo, hi = cube.grid_range(depth)
+        bad_parts.append(gf.GridFunction(
+            g_data[lo - g_lo:hi - g_lo] - avg, depth, (lo,),
+            meta=f"bad[{cube.scale},{cube.index}]"))
+        g_data[lo - g_lo:hi - g_lo] = avg
+    return czd.CZDecomposition(
+        alpha=float(alpha), cubes=tuple(cubes), averages=tuple(averages),
+        abs_averages=tuple(abs_averages),
+        good=gf.GridFunction(g_data, depth, (g_lo,), meta="good"),
+        bad_parts=tuple(bad_parts), root_exponent=m)
+
+
+def oracle_verify(dec, f):
+    Check = czd.Check
+    data = f.data.real
+    depth = f.depth
+    origin = f.origin[0]
+    cell = 2.0 ** (-depth)
+    alpha = dec.alpha
+    norm1 = gf.l1_norm(f)
+    checks = []
+    eps = 1e-12
+
+    recon = dec.good
+    for part in dec.bad_parts:
+        recon = recon + part
+    diff = recon - f
+    worst = float(np.abs(diff.data).max())
+    checks.append(Check("reconstruction", worst <= 1e-12, worst, 1e-12))
+
+    w_mask = np.zeros(data.size, dtype=bool)
+    for cube in dec.cubes:
+        lo, hi = cube.grid_range(depth)
+        ia, ib = max(lo - origin, 0), min(hi - origin, data.size)
+        if ib > ia:
+            w_mask[ia:ib] = True
+    f_vals = np.abs(data[~w_mask])
+    worst_f = float(f_vals.max()) if f_vals.size else 0.0
+    checks.append(Check("good_bound_on_f", worst_f <= alpha * (1 + eps),
+                        worst_f, alpha))
+    mes_w = dec.mes_w
+    checks.append(Check("mes_w", mes_w <= norm1 / alpha * (1 + eps), mes_w,
+                        norm1 / alpha))
+    ranges = sorted(c.grid_range(depth) for c in dec.cubes)
+    disjoint = all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:]))
+    checks.append(Check("disjoint", disjoint, 0.0 if disjoint else 1.0, 0.0))
+
+    prefix_abs = np.concatenate([[0.0], np.cumsum(np.abs(data))]) * cell
+
+    def integral(lo, hi):
+        ia = min(max(lo - origin, 0), data.size)
+        ib = min(max(hi - origin, 0), data.size)
+        return float(prefix_abs[ib] - prefix_abs[ia]) if ib > ia else 0.0
+
+    avg_lo, avg_hi, parent_ok = np.inf, 0.0, True
+    for cube in dec.cubes:
+        lo, hi = cube.grid_range(depth)
+        avg = integral(lo, hi) / cube.width
+        avg_lo, avg_hi = min(avg_lo, avg), max(avg_hi, avg)
+        par = cube.parent()
+        plo, phi = par.grid_range(depth)
+        if integral(plo, phi) / par.width > alpha * (1 + eps):
+            parent_ok = False
+    if dec.cubes:
+        checks.append(Check("cube_avg_above", avg_lo > alpha * (1 - eps),
+                            avg_lo, alpha, note="strict lower bound"))
+        checks.append(Check("cube_avg_doubling",
+                            avg_hi <= 2 * alpha * (1 + eps), avg_hi,
+                            2 * alpha))
+    checks.append(Check("parent_maximality", parent_ok,
+                        0.0 if parent_ok else 1.0, 0.0))
+    sup_g = float(np.abs(dec.good.data).max()) if dec.good.data.size else 0.0
+    checks.append(Check("good_sup", sup_g <= 2 * alpha * (1 + eps), sup_g,
+                        2 * alpha))
+    g2 = gf.lp_norm(dec.good, 2) ** 2
+    checks.append(Check("good_l2", g2 <= 2 * alpha * norm1 * (1 + eps), g2,
+                        2 * alpha * norm1))
+    mean_worst, l1_ok, l1_worst_ratio = 0.0, True, 0.0
+    for cube, part in zip(dec.cubes, dec.bad_parts):
+        mean_worst = max(mean_worst,
+                         abs(float(np.sum(part.data.real)) * cell))
+        mass = float(np.abs(part.data).sum()) * cell
+        l1_worst_ratio = max(l1_worst_ratio, mass / (alpha * cube.width))
+        l1_ok = l1_ok and mass <= 4 * alpha * cube.width * (1 + eps)
+    checks.append(Check("bad_mean_zero", mean_worst <= 1e-12 * max(norm1, 1.0),
+                        mean_worst, 1e-12 * max(norm1, 1.0)))
+    checks.append(Check("bad_l1", l1_ok, l1_worst_ratio, 4.0,
+                        note="ratio to alpha * |Q|"))
+
+    if dec.cubes:
+        merged = []
+        for lo, hi in ranges:
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        ratios = []
+        for cube in dec.cubes:
+            lo, hi = cube.grid_range(depth)
+            for clo, chi in merged:
+                if clo <= lo and hi <= chi:
+                    mids = (np.arange(clo, chi) + 0.5) * cell
+                    dists = np.minimum(mids - clo * cell, chi * cell - mids)
+                    ratios.append(float(dists[lo - clo:hi - clo].min())
+                                  / cube.width)
+                    break
+        checks.append(Check("distance_ratio_min", True, min(ratios),
+                            note="measured c3, not asserted"))
+        checks.append(Check("distance_ratio_max", True, max(ratios),
+                            note="measured c4, not asserted"))
+    return checks
+
+
+def _float_bits(values):
+    assert all(type(v) is float for v in values)
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def assert_same_as_oracle(f, alpha):
+    got, want = czd.cz_decompose(f, alpha), oracle_decompose(f, alpha)
+    assert got.cubes == want.cubes
+    assert all(type(c.scale) is int and type(c.index) is int
+               for c in got.cubes)
+    assert got.root_exponent == want.root_exponent
+    assert _float_bits(got.averages) == _float_bits(want.averages)
+    assert _float_bits(got.abs_averages) == _float_bits(want.abs_averages)
+    for a, b in zip((got.good,) + got.bad_parts,
+                    (want.good,) + want.bad_parts, strict=True):
+        assert (a.origin, a.meta) == (b.origin, b.meta)
+        assert a.data.tobytes() == b.data.tobytes()
+    checks = czd.verify_cz(got, f)
+    assert [repr(c) for c in checks] == [
+        repr(c) for c in oracle_verify(want, f)]
+    return got, checks
+
+
+def test_matches_oracle_on_cz_corpus():
+    depth = 10
+    signs, grown, single_cell, empty = set(), False, False, False
+    for seed in range(6):
+        f = cli._cz_corpus_member(depth, seed)
+        signs.add(f.origin[0] > 0)
+        cover = czd.cz_decompose(f, 1e6).root_exponent
+        for alpha in (0.1, 0.3, 1.0, 2.0, 3.0, 10.0):
+            dec, checks = assert_same_as_oracle(f, alpha)
+            assert all(c.passed for c in checks), (seed, alpha)
+            grown |= dec.root_exponent > cover
+            single_cell |= any(c.scale == depth for c in dec.cubes)
+            empty |= not dec.cubes
+    assert signs == {False, True}
+    assert grown and single_cell and empty
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matches_oracle_on_spiky(seed):
+    f = spiky(9, seed)
+    norm1 = gf.l1_norm(f)
+    for alpha in (norm1 / 8, norm1, 8 * norm1):
+        assert_same_as_oracle(f, alpha)
+
+
+def test_matches_oracle_beyond_int64_coordinates():
+    # a support far from 0 needs a root beyond int64 grid coordinates; the
+    # index arrays then fall back to Python ints.  Left ends there are not
+    # exact floats, so the oracle's float sort key cannot order the cubes:
+    # compare cube by cube, and the order against the exact left ends
+    rng = np.random.default_rng(7)
+    f = gf.GridFunction(rng.standard_normal(12) + 0j, 40, (3 << 60,))
+    got, want = czd.cz_decompose(f, 0.5), oracle_decompose(f, 0.5)
+    assert got.root_exponent + f.depth > 61 and len(got.cubes) > 1
+    lefts = [c.grid_range(f.depth)[0] for c in got.cubes]
+    assert lefts == sorted(lefts)
+    assert (sorted(zip(got.cubes, got.averages, got.abs_averages),
+                   key=lambda t: (t[0].scale, t[0].index))
+            == sorted(zip(want.cubes, want.averages, want.abs_averages),
+                      key=lambda t: (t[0].scale, t[0].index)))
+    assert got.good.data.tobytes() == want.good.data.tobytes()
+    assert all(c.passed for c in czd.verify_cz(got, f))
+
+
+def test_verify_builds_one_reconstruction(monkeypatch):
+    f = cli._cz_corpus_member(17, 0)
+    dec = czd.cz_decompose(f, 2.0)
+    assert len(dec.cubes) > 10_000
+    calls = []
+    real_combine = gf.combine
+
+    def counting(*args):
+        calls.append(1)
+        return real_combine(*args)
+
+    monkeypatch.setattr(gf, "combine", counting)
+    checks = czd.verify_cz(dec, f)
+    assert all(c.passed for c in checks)
+    assert len(calls) <= 2
+
+
+def test_verify_recomputes_averages():
+    f = spiky(8, 3)
+    dec = czd.cz_decompose(f, gf.l1_norm(f))
+    forged = czd.CZDecomposition(
+        alpha=dec.alpha, cubes=dec.cubes,
+        averages=tuple(0.0 for _ in dec.averages),
+        abs_averages=tuple(1e9 for _ in dec.abs_averages), good=dec.good,
+        bad_parts=dec.bad_parts, root_exponent=dec.root_exponent)
+    assert czd.verify_cz(forged, f) == czd.verify_cz(dec, f)
+
+
+def test_verify_flags_overlapping_cubes():
+    f = gf.indicator(6, ((0.0, 1.0),))
+    dec = czd.cz_decompose(f, 0.5)
+    overlap = czd.CZDecomposition(
+        alpha=0.5, cubes=(czd.Cube(0, 0), czd.Cube(1, 1)),
+        averages=(1.0, 1.0), abs_averages=(1.0, 1.0), good=dec.good,
+        bad_parts=dec.bad_parts, root_exponent=0)
+    checks = {c.name: c for c in czd.verify_cz(overlap, f)}
+    want = {c.name: c for c in oracle_verify(overlap, f)}
+    assert not checks["disjoint"].passed
+    assert repr(checks) == repr(want)
 
 
 # ---------------------------------------------------------------------------

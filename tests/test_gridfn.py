@@ -118,6 +118,26 @@ def test_depth_mismatch(rng):
         _ = f + g
 
 
+@pytest.mark.parametrize("f_box, g_box", [
+    (((3, 7),), ((0, 12),)),                   # g sticks out on both sides
+    (((0, 12),), ((3, 7),)),                   # g inside f
+    (((0, 5),), ((8, 11),)),                   # apart, with a gap
+    (((2, 6), (1, 9)), ((0, 8), (4, 5))),      # 2-D, both ways per axis
+])
+def test_combine_matches_embedded_ufunc(rng, f_box, g_box):
+    def make(box):
+        shape = tuple(hi - lo for lo, hi in box)
+        return random_gridfn(rng, shape, 6, tuple(lo for lo, _ in box))
+
+    f, g = make(f_box), make(g_box)
+    box = gf.union_box(f_box, g_box)
+    for got, op in ((f + g, np.add), (f - g, np.subtract)):
+        want = op(gf.embed(f, box), gf.embed(g, box))
+        assert got.origin == tuple(lo for lo, _ in box)
+        assert got.data.tobytes() == want.tobytes()
+    assert not f.data.flags.writeable and not g.data.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # dilation
 

@@ -1,10 +1,13 @@
-"""Criterion 8's golden CSVs are fixed by the computation alone.
+"""Criterion 8's golden CSVs and the ``cz`` artifacts are fixed by the
+computation alone.
 
 The first-depth sweeps of criterion 8 are written in fresh interpreters
 under settings that change numpy's SIMD loops and the BLAS kernel, and
 in-process from misaligned and strided inputs; every variant must give the
-committed golden bytes.  Run as a script, this module writes those CSVs
-into a directory, which is how ``tests/golden`` is regenerated:
+committed golden bytes.  The ``cz`` command's reports and cube CSVs must
+not change with numpy's SIMD target either.  Run as a script, this module
+writes criterion 8's CSVs into a directory, which is how ``tests/golden``
+is regenerated:
 
     PYTHONPATH=src python tests/test_reproducibility.py tests/golden
 """
@@ -79,14 +82,45 @@ def _assert_golden(out_dir):
                             reason="CPU lacks SSE4.2")]),
 ])
 def test_golden_bytes_in_subprocess(settings, tmp_path):
+    subprocess.run([sys.executable, __file__, str(tmp_path)],
+                   env=_subprocess_env(settings), check=True, timeout=600)
+    _assert_golden(tmp_path)
+
+
+def _subprocess_env(settings):
     env = {k: v for k, v in os.environ.items() if k not in SETTINGS}
     env.update(settings)
     src = str(Path(dyadwave.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    subprocess.run([sys.executable, __file__, str(tmp_path)], env=env,
-                   check=True, timeout=600)
-    _assert_golden(tmp_path)
+    return env
+
+
+def _cz_artifacts(out_dir, settings):
+    """Run the cz command in a fresh interpreter; {file name: bytes}."""
+    subprocess.run([sys.executable, "-m", "dyadwave.cli", "cz",
+                    "--depth", "10", "--seeds", "0,1,2,3,4,5",
+                    "--alphas", "0.1,0.3,1,3,10", "--out", str(out_dir)],
+                   env=_subprocess_env(settings), check=True, timeout=600,
+                   stdout=subprocess.DEVNULL)
+    return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
+
+
+@pytest.fixture(scope="module")
+def cz_default(tmp_path_factory):
+    return _cz_artifacts(tmp_path_factory.mktemp("cz-default"), {})
+
+
+@pytest.mark.skipif(not DISPATCHED, reason="numpy dispatches no SIMD target")
+@pytest.mark.parametrize("disabled", [DISPATCHED, DISPATCHED[1:]],
+                         ids=["baseline-simd", "lowest-dispatched-simd"])
+def test_cz_bytes_in_subprocess(cz_default, disabled, tmp_path):
+    if not disabled:
+        pytest.skip("numpy dispatches a single SIMD target")
+    got = _cz_artifacts(
+        tmp_path, {"NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
+    assert len(got) == 60 and got.keys() == cz_default.keys()
+    assert [n for n in got if got[n] != cz_default[n]] == []
 
 
 def _misaligned(a):
