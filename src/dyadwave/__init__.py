@@ -5,7 +5,7 @@ Subpackage map:
 * :mod:`dyadwave.refinable` -- filter banks, dyadic value tables, Riesz and
   biorthogonality diagnostics.
 * :mod:`dyadwave.gridfn` -- sampled functions on dyadic grids, quadrature,
-  norms, dilation, slicing, multi-index helpers.
+  norms, dilation, multi-index helpers.
 * :mod:`dyadwave.mra1d` -- one-dimensional projection / detail operators.
 * :mod:`dyadwave.mrand` -- axis lifting and tensor-product projectors.
 * :mod:`dyadwave.lpharness` -- square function, sign operators, Rademacher

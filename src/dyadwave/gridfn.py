@@ -7,26 +7,21 @@ the plain cell sum, which is exact for the step function itself; continuous
 integrands should be sampled at cell midpoints (:func:`sample`), making the
 cell sum a midpoint rule.
 
-The module also hosts the shared multi-index helpers: componentwise min and
-max, the binary patterns of inclusion-exclusion, and box enumeration.
+The module also hosts the shared multi-index helpers: the binary patterns
+of inclusion-exclusion and box enumeration.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import struct
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AxisOutOfRange, BadExponent, DepthMismatch,
-                     ResolutionExhausted)
+from .errors import BadExponent, DepthMismatch, ResolutionExhausted
 
 MAX_DIM = 3
-
-GRID_MAGIC = b"HWGF1"
 
 
 def _as_tuple(value, dim):
@@ -110,12 +105,6 @@ class GridFunction:
 
     def __neg__(self):
         return self * (-1.0)
-
-
-def zeros_like_box(depth, box, meta=""):
-    shape = tuple(hi - lo for lo, hi in box)
-    origin = tuple(lo for lo, _ in box)
-    return GridFunction(np.zeros(shape, dtype=np.complex128), depth, origin, meta)
 
 
 def union_box(*boxes):
@@ -280,7 +269,7 @@ def sup_norm(f):
 
 
 # ---------------------------------------------------------------------------
-# dilation and slicing
+# dilation
 
 
 def dilate(f, k):
@@ -296,63 +285,8 @@ def dilate(f, k):
     return GridFunction(f.data, f.depth + k, f.origin, f.meta)
 
 
-def axis_slices(f, axis):
-    """Yield (complementary_index, 1-D GridFunction) along an axis, C order."""
-    if not 0 <= axis < f.dim:
-        raise AxisOutOfRange(f"axis {axis} for dimension {f.dim}")
-    if f.dim == 1:
-        yield (), f
-        return
-    moved = np.moveaxis(f.data, axis, -1)
-    rest = moved.shape[:-1]
-    for idx in itertools.product(*(range(n) for n in rest)):
-        yield idx, GridFunction(moved[idx], f.depth, (f.origin[axis],), f.meta)
-
-
-def reassemble_slices(items, axis, depth, origin, shape, meta=""):
-    """Inverse of :func:`axis_slices`: rebuild the full function bit-exactly.
-
-    items iterates (complementary_index, 1-D GridFunction) with every slice
-    sharing the 1-D box implied by origin/shape along `axis`.
-    """
-    dim = len(shape)
-    if not 0 <= axis < dim:
-        raise AxisOutOfRange(f"axis {axis} for dimension {dim}")
-    moved_shape = tuple(shape[a] for a in range(dim) if a != axis) + (shape[axis],)
-    out = np.empty(moved_shape, dtype=np.complex128)
-    for idx, part in items:
-        if part.shape[0] != shape[axis] or part.origin[0] != origin[axis]:
-            raise ValueError("slice box does not match the declared frame")
-        out[idx] = part.data
-    data = np.moveaxis(out, -1, axis)
-    return GridFunction(data, depth, origin, meta)
-
-
 # ---------------------------------------------------------------------------
-# file formats
-
-
-def save_gridfn(f, path):
-    header = GRID_MAGIC + struct.pack("<Bi", f.dim, f.depth)
-    header += struct.pack(f"<{f.dim}q", *f.origin)
-    header += struct.pack(f"<{f.dim}q", *f.shape)
-    Path(path).write_bytes(header + np.ascontiguousarray(f.data).tobytes())
-
-
-def load_gridfn(path):
-    raw = Path(path).read_bytes()
-    if not raw.startswith(GRID_MAGIC):
-        raise ValueError(f"{path}: not a grid-function file")
-    off = len(GRID_MAGIC)
-    dim, depth = struct.unpack_from("<Bi", raw, off)
-    off += struct.calcsize("<Bi")
-    origin = struct.unpack_from(f"<{dim}q", raw, off)
-    off += 8 * dim
-    shape = struct.unpack_from(f"<{dim}q", raw, off)
-    off += 8 * dim
-    count = int(np.prod(shape))
-    data = np.frombuffer(raw, dtype=np.complex128, count=count, offset=off)
-    return GridFunction(data.reshape(shape).copy(), depth, origin)
+# CSV export
 
 
 def gridfn_to_csv(f, path):
@@ -381,23 +315,6 @@ def gridfn_to_csv(f, path):
 # multi-index helpers
 
 
-def min_component(v):
-    return min(v)
-
-
-def max_component(v):
-    return max(v)
-
-
-def ones(dim):
-    return (1,) * dim
-
-
-def leq_box(v, bound):
-    """Componentwise v <= bound: membership of v in the box cut at bound."""
-    return all(a <= b for a, b in zip(v, bound))
-
-
 def box_range(bound):
     """Iterate the nonnegative multi-indices <= bound componentwise."""
     return itertools.product(*(range(b + 1) for b in bound))
@@ -406,10 +323,6 @@ def box_range(bound):
 def sign_patterns(dim):
     """All 0/1 patterns of length dim (the inclusion-exclusion index set)."""
     return list(itertools.product((0, 1), repeat=dim))
-
-
-def pattern_support(eps):
-    return frozenset(j for j, e in enumerate(eps) if e)
 
 
 def pattern_parity(eps):

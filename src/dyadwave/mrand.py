@@ -18,9 +18,8 @@ import numpy as np
 
 from . import mra1d, refinable
 from .errors import AxisOutOfRange
-from .gridfn import (GridFunction, pattern_parity, pattern_within,
-                     sign_patterns, union_box, zeros_like_box, embed,
-                     box_range)
+from .gridfn import (GridFunction, box_range, pattern_parity, pattern_within,
+                     sign_patterns)
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,6 @@ class LevelProjection:
         self.level = level
         self.cache = cache
 
-    def __call__(self, f):
-        return mra1d.project(f, self.level, self.bank, self.cache)
-
     def apply_rows(self, rows, origin, depth):
         mra1d._check_level(self.level, depth)
         return mra1d.project_rows(rows, origin, depth, self.level, self.bank,
@@ -82,9 +78,6 @@ class LevelDetail:
         self.bank = bank
         self.level = level
         self.cache = cache
-
-    def __call__(self, f):
-        return mra1d.detail(f, self.level, self.bank, self.cache)
 
     def apply_rows(self, rows, origin, depth):
         hi, org_hi = mra1d.project_rows(rows, origin, depth, self.level,
@@ -109,15 +102,6 @@ class WeightedProjectionSum:
         self.weights = tuple(float(w) for w in weights)
         self.cache = cache
 
-    def __call__(self, f):
-        out = None
-        for level, w in enumerate(self.weights):
-            if w == 0.0:
-                continue
-            term = w * mra1d.project(f, level, self.bank, self.cache)
-            out = term if out is None else out + term
-        return out
-
     def apply_rows(self, rows, origin, depth):
         pieces = []
         for level, w in enumerate(self.weights):
@@ -134,42 +118,19 @@ class WeightedProjectionSum:
         return out, start
 
 
-@dataclass(frozen=True)
-class AxisOperator:
-    """A 1-D transform bound to one axis of a d-dimensional function."""
-
-    axis: int
-    base: object
-
-    def apply(self, f):
-        return apply_axis(self.base, f, self.axis)
-
-
 def apply_axis(base, f, axis):
     """Lift a 1-D transform to act along one axis of f.
 
-    Transforms exposing ``apply_rows(rows, origin, depth)`` are applied to
-    the whole stack of slices at once; any other callable is applied slice
-    by slice and reassembled on the union of the slice boxes.
+    ``base.apply_rows(rows, origin, depth)`` transforms the whole stack of
+    slices in that direction at once, as an array of rows sharing one
+    origin, and returns the output rows with their common new origin.
     """
     if not 0 <= axis < f.dim:
         raise AxisOutOfRange(f"axis {axis} for dimension {f.dim}")
     moved = np.moveaxis(f.data, axis, -1)
     lead = moved.shape[:-1]
     rows = np.ascontiguousarray(moved.reshape(-1, moved.shape[-1]))
-    if hasattr(base, "apply_rows"):
-        out_rows, new_org = base.apply_rows(rows, f.origin[axis], f.depth)
-    else:
-        outs = [base(GridFunction(row, f.depth, (f.origin[axis],)))
-                for row in rows]
-        if any(g.dim != 1 or g.depth != f.depth for g in outs):
-            raise ValueError("axis transform must preserve depth and return 1-D")
-        lo = min(g.origin[0] for g in outs)
-        hi = max(g.origin[0] + g.shape[0] for g in outs)
-        out_rows = np.zeros((len(outs), hi - lo), dtype=np.complex128)
-        for i, g in enumerate(outs):
-            out_rows[i, g.origin[0] - lo:g.origin[0] - lo + g.shape[0]] = g.data
-        new_org = lo
+    out_rows, new_org = base.apply_rows(rows, f.origin[axis], f.depth)
     data = np.moveaxis(out_rows.reshape(lead + (out_rows.shape[1],)), -1, axis)
     origin = list(f.origin)
     origin[axis] = new_org

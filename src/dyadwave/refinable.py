@@ -35,7 +35,7 @@ MAX_TABLE_DEPTH = 24
 
 SMOOTHNESS_CLASSES = ("pcw_const", "c0", "c1")
 
-TABLE_MAGIC = b"HWTB1"
+TABLE_MAGIC = b"HWTB2"
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,6 @@ class FilterBank:
                 raise ValueError(
                     f"{name} mask of {self.bank_id} sums to {s!r}, not sqrt(2)")
 
-    @property
-    def dual_is_c1(self):
-        """Whether the dual generator is continuously differentiable."""
-        return self.smoothness == "c1"
-
     def mask(self, which):
         if which == "primal":
             return self.primal
@@ -101,8 +96,8 @@ class DyadicTable:
     """Values of a refinable function on its support at step 2**-depth.
 
     ``values[i]`` is the function at ``n_first + i * 2**-depth``; the last
-    entry sits at the right support endpoint.  ``derivative_values`` is
-    present only for banks declared continuously differentiable.
+    entry sits at the right support endpoint.  ``checksum`` is the sha256
+    of the values.
     """
 
     filter_id: str
@@ -110,8 +105,11 @@ class DyadicTable:
     depth: int
     n_first: int
     values: np.ndarray
-    derivative_values: np.ndarray | None
     checksum: str
+
+    # Not a field and always None: tables carry no derivative values, but
+    # perfbench/spans.py still reads this attribute off every cascade result.
+    derivative_values = None
 
     @property
     def step(self):
@@ -136,12 +134,8 @@ class DyadicTable:
         return self.values[stride // 2::stride]
 
 
-def _payload_checksum(values, derivative_values):
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(values).tobytes())
-    if derivative_values is not None:
-        h.update(np.ascontiguousarray(derivative_values).tobytes())
-    return h.hexdigest()
+def _payload_checksum(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
 def mask_digest(bank):
@@ -153,8 +147,8 @@ def mask_digest(bank):
     return h.hexdigest()[:12]
 
 
-def _refinement_matrix(mask, factor=1.0):
-    """M[k, l] = factor * sqrt(2) * h[2k - l] over integer support points."""
+def _refinement_matrix(mask):
+    """M[k, l] = sqrt(2) * h[2k - l] over integer support points."""
     n = mask.support_length + 1
     h = mask.array()
     m = np.zeros((n, n))
@@ -162,7 +156,7 @@ def _refinement_matrix(mask, factor=1.0):
         for j in range(n):
             idx = 2 * (i + mask.n_first) - (j + mask.n_first) - mask.n_first
             if 0 <= idx < n:
-                m[i, j] = factor * SQRT2 * h[idx]
+                m[i, j] = SQRT2 * h[idx]
     return m
 
 
@@ -248,21 +242,7 @@ def _integer_vector(bank, which):
     return _exact_seed(m, what)
 
 
-def _derivative_integer_vector(bank, which):
-    # phi'(k) is the eigenvalue-1 vector of 2*sqrt(2)*h[2k-l]; the slope
-    # normalization sum_k k*phi'(k) = -1 follows from reproducing linears.
-    mask = bank.mask(which)
-    m = _refinement_matrix(mask, factor=2.0)
-    vec = _eigenvector_at(m, 1.0, f"{bank.bank_id}/{which} derivative")
-    ks = mask.n_first + np.arange(len(vec))
-    slope = float(np.dot(ks, vec))
-    if abs(slope) < 1e-10 * np.abs(vec).max():
-        raise NonSimpleEigenvalue(
-            f"{bank.bank_id}/{which}: derivative normalization degenerate")
-    return vec / (-slope)
-
-
-def _subdivide(mask, start, levels, factor_per_level=1.0):
+def _subdivide(mask, start, levels):
     """Run the two-scale subdivision from integer values down `levels` times."""
     v = start
     m = mask.support_length
@@ -278,14 +258,14 @@ def _subdivide(mask, start, levels, factor_per_level=1.0):
             src = base + jj - (n + mask.n_first) * (1 << lev)
             ok = (src >= 0) & (src < size)
             if ok.any():
-                acc[ok] += factor_per_level * SQRT2 * h[n] * v[src[ok]]
+                acc[ok] += SQRT2 * h[n] * v[src[ok]]
         out[1::2] = acc
         v = out
     return v
 
 
 def cascade(bank, which, depth):
-    """Tabulate the generator (and derivative when declared C1) at depth L.
+    """Tabulate the generator at depth L.
 
     Exact at dyadic rationals: each level halves the step using the
     refinement relation, seeded by the integer-point eigenvector.
@@ -294,17 +274,10 @@ def cascade(bank, which, depth):
         raise DepthOverflow(f"depth {depth} outside [1, {MAX_TABLE_DEPTH}]")
     mask = bank.mask(which)
     values = _subdivide(mask, _integer_vector(bank, which), depth)
-    deriv = None
-    if bank.dual_is_c1:
-        deriv = _subdivide(mask, _derivative_integer_vector(bank, which),
-                           depth, factor_per_level=2.0)
     values.setflags(write=False)
-    if deriv is not None:
-        deriv.setflags(write=False)
     return DyadicTable(
         filter_id=bank.bank_id, which=which, depth=depth, n_first=mask.n_first,
-        values=values, derivative_values=deriv,
-        checksum=_payload_checksum(values, deriv))
+        values=values, checksum=_payload_checksum(values))
 
 
 def refinement_residual(table, bank):
@@ -505,12 +478,9 @@ def save_table(table, path):
     path = Path(path)
     ident = table.filter_id.encode("utf-8")
     header = TABLE_MAGIC + struct.pack(
-        "<BiqlBH", 1 if table.which == "dual" else 0, table.depth,
-        len(table.values), table.n_first,
-        0 if table.derivative_values is None else 1, len(ident))
+        "<BiqlH", 1 if table.which == "dual" else 0, table.depth,
+        len(table.values), table.n_first, len(ident))
     body = header + ident + table.values.tobytes()
-    if table.derivative_values is not None:
-        body += table.derivative_values.tobytes()
     digest = hashlib.sha256(body).digest()
     path.write_bytes(body + digest)
 
@@ -529,27 +499,19 @@ def load_table(path):
         return None
     off = len(TABLE_MAGIC)
     try:
-        which_b, depth, nvals, n_first, has_d, idlen = struct.unpack_from(
-            "<BiqlBH", body, off)
-        off += struct.calcsize("<BiqlBH")
+        which_b, depth, nvals, n_first, idlen = struct.unpack_from(
+            "<BiqlH", body, off)
+        off += struct.calcsize("<BiqlH")
         ident = body[off:off + idlen].decode("utf-8")
         off += idlen
         values = np.frombuffer(body, dtype=np.float64, count=nvals, offset=off)
-        off += nvals * 8
-        deriv = None
-        if has_d:
-            deriv = np.frombuffer(body, dtype=np.float64, count=nvals, offset=off)
     except (struct.error, ValueError, UnicodeDecodeError):
         return None
     values = values.copy()
     values.setflags(write=False)
-    if deriv is not None:
-        deriv = deriv.copy()
-        deriv.setflags(write=False)
     return DyadicTable(
         filter_id=ident, which="dual" if which_b else "primal", depth=depth,
-        n_first=n_first, values=values, derivative_values=deriv,
-        checksum=_payload_checksum(values, deriv))
+        n_first=n_first, values=values, checksum=_payload_checksum(values))
 
 
 class TableCache:

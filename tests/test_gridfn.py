@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dyadwave import gridfn as gf
-from dyadwave.errors import (AxisOutOfRange, BadExponent, DepthMismatch,
-                             ResolutionExhausted)
+from dyadwave.errors import BadExponent, DepthMismatch, ResolutionExhausted
 
 
 def random_gridfn(rng, shape, depth, origin=None):
@@ -177,51 +176,7 @@ def test_dilate_headroom(rng):
 
 
 # ---------------------------------------------------------------------------
-# slices
-
-
-def test_axis_slices_d1(rng):
-    f = random_gridfn(rng, (32,), 7)
-    [(idx, part)] = list(gf.axis_slices(f, 0))
-    assert idx == () and np.array_equal(part.data, f.data)
-
-
-def test_axis_slices_separable(rng):
-    u = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    v = rng.standard_normal(8) + 0j
-    f = gf.GridFunction(np.outer(u, v), 6, (0, 0))
-    for idx, part in gf.axis_slices(f, 0):
-        scale = v[idx[0]]
-        if abs(scale) > 1e-12:
-            assert np.allclose(part.data / scale, u)
-
-
-def test_axis_slices_roundtrip(rng):
-    f = random_gridfn(rng, (8, 16), 6, origin=(3, -5))
-    for axis in (0, 1):
-        items = list(gf.axis_slices(f, axis))
-        back = gf.reassemble_slices(items, axis, f.depth, f.origin, f.shape)
-        assert np.array_equal(back.data, f.data)
-        assert back.origin == f.origin
-
-
-def test_axis_out_of_range(rng):
-    f = random_gridfn(rng, (8, 8), 6, origin=(0, 0))
-    with pytest.raises(AxisOutOfRange):
-        list(gf.axis_slices(f, 2))
-
-
-# ---------------------------------------------------------------------------
-# files
-
-
-def test_gridfn_file_roundtrip(tmp_path, rng):
-    f = random_gridfn(rng, (8, 16), 6, origin=(-3, 9))
-    path = tmp_path / "f.hwgf"
-    gf.save_gridfn(f, path)
-    back = gf.load_gridfn(path)
-    assert back.depth == f.depth and back.origin == f.origin
-    assert np.array_equal(back.data, f.data)
+# CSV export
 
 
 def test_csv_export(tmp_path, rng):
@@ -241,12 +196,7 @@ def test_csv_export(tmp_path, rng):
 
 
 def test_multiindex_helpers():
-    assert gf.min_component((3, 1, 2)) == 1
-    assert gf.max_component((3, 1, 2)) == 3
-    assert gf.ones(3) == (1, 1, 1)
-    assert gf.leq_box((1, 2), (2, 2)) and not gf.leq_box((3, 0), (2, 2))
     assert set(gf.sign_patterns(2)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert gf.pattern_parity((1, 1)) == 1 and gf.pattern_parity((1, 0)) == -1
-    assert gf.pattern_support((1, 0, 1)) == {0, 2}
     assert list(gf.box_range((1, 1))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert gf.pattern_within((1, 0), (2, 0)) and not gf.pattern_within((1, 1), (2, 0))

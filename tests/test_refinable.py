@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -179,19 +181,6 @@ def test_accepted_tables_refinement_residual(registry):
             assert refinable.refinement_residual(table, bank) <= 1e-9
 
 
-def test_derivative_tables(db4, db2):
-    table = refinable.cascade(db4, "dual", 12)
-    assert table.derivative_values is not None
-    # centered differences of the value table approximate the derivative
-    v, d = table.values, table.derivative_values
-    step = table.step
-    mid = slice(1000, v.size - 1000)
-    fd = (v[2:] - v[:-2]) / (2 * step)
-    err = np.abs(fd[mid] - d[1:-1][mid]).max()
-    assert err < 5e-2 * np.abs(d).max()
-    assert refinable.cascade(db2, "primal", 8).derivative_values is None
-
-
 # ---------------------------------------------------------------------------
 # gram and biorthogonality
 
@@ -260,7 +249,6 @@ def test_table_roundtrip(tmp_path, db3):
     assert back.filter_id == "db3" and back.which == "dual"
     assert back.depth == 8 and back.n_first == 0
     assert np.array_equal(back.values, table.values)
-    assert np.array_equal(back.derivative_values, table.derivative_values)
     assert back.checksum == table.checksum
 
 
@@ -289,3 +277,32 @@ def test_cache_builds_and_rebuilds(tmp_path, db2):
     t3 = refinable.TableCache(tmp_path).get(db2, "primal", 9)
     assert t3.checksum == t1.checksum
     assert refinable.load_table(files[0]) is not None
+
+
+def _hwtb1_bytes(table, derivatives):
+    """A table file in the old HWTB1 layout, with a valid sha256 trailer.
+
+    HWTB1 had one more header byte, set when derivative values followed
+    the values.
+    """
+    ident = table.filter_id.encode("utf-8")
+    body = b"HWTB1" + struct.pack(
+        "<BiqlBH", 1 if table.which == "dual" else 0, table.depth,
+        len(table.values), table.n_first, 1, len(ident))
+    body += ident + table.values.tobytes() + derivatives.tobytes()
+    return body + hashlib.sha256(body).digest()
+
+
+def test_cache_rebuilds_old_format(tmp_path, db4):
+    table = refinable.cascade(db4, "dual", 8)
+    cache = refinable.TableCache(tmp_path)
+    path = cache._path(db4, "dual", 8)
+    old = _hwtb1_bytes(table, np.gradient(table.values, table.step))
+    path.write_bytes(old)
+    assert refinable.load_table(path) is None
+    got = cache.get(db4, "dual", 8)
+    assert np.array_equal(got.values, table.values)
+    assert got.checksum == table.checksum
+    raw = path.read_bytes()
+    assert raw.startswith(b"HWTB2")
+    assert refinable.load_table(path).checksum == table.checksum

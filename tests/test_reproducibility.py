@@ -1,11 +1,12 @@
-"""Criterion 8's golden CSVs and the ``cz`` artifacts are fixed by the
-computation alone.
+"""Criterion 8's golden CSVs, the ``cz`` artifacts and the table checksums
+are fixed by the computation alone.
 
 The first-depth sweeps of criterion 8 are written in fresh interpreters
 under settings that change numpy's SIMD loops and the BLAS kernel, and
 in-process from misaligned and strided inputs; every variant must give the
 committed golden bytes.  The ``cz`` command's reports and cube CSVs must
-not change with numpy's SIMD target either.  Run as a script, this module
+not change with numpy's SIMD target either, nor the checksum of any
+shipped table with the BLAS kernel.  Run as a script, this module
 writes criterion 8's CSVs into a directory, which is how ``tests/golden``
 is regenerated:
 
@@ -49,6 +50,13 @@ OPENBLAS = "openblas" in _blas_name().lower()
 SETTINGS = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE",
             "OPENBLAS_NUM_THREADS")
 
+# Nehalem kernels need SSE4.2 only, so every x86-64 CPU can run them
+NEHALEM = {"OPENBLAS_CORETYPE": "Nehalem", "OPENBLAS_NUM_THREADS": "1"}
+NEEDS_OPENBLAS = pytest.mark.skipif(not OPENBLAS,
+                                    reason="numpy's BLAS is not OpenBLAS")
+NEEDS_SSE42 = pytest.mark.skipif(not __cpu_features__.get("SSE42"),
+                                 reason="CPU lacks SSE4.2")
+
 
 def write_first_depth_csvs(out_dir, registry=None):
     """Criterion 8's first-depth ratio CSVs, one per sweep tag."""
@@ -72,14 +80,8 @@ def _assert_golden(out_dir):
                  id="baseline-simd",
                  marks=pytest.mark.skipif(
                      not DISPATCHED, reason="numpy dispatches no SIMD target")),
-    # Nehalem kernels need SSE4.2 only, so every x86-64 CPU can run them
-    pytest.param({"OPENBLAS_CORETYPE": "Nehalem", "OPENBLAS_NUM_THREADS": "1"},
-                 id="openblas-nehalem-1thread",
-                 marks=[pytest.mark.skipif(
-                            not OPENBLAS, reason="numpy's BLAS is not OpenBLAS"),
-                        pytest.mark.skipif(
-                            not __cpu_features__.get("SSE42"),
-                            reason="CPU lacks SSE4.2")]),
+    pytest.param(NEHALEM, id="openblas-nehalem-1thread",
+                 marks=[NEEDS_OPENBLAS, NEEDS_SSE42]),
 ])
 def test_golden_bytes_in_subprocess(settings, tmp_path):
     subprocess.run([sys.executable, __file__, str(tmp_path)],
@@ -121,6 +123,30 @@ def test_cz_bytes_in_subprocess(cz_default, disabled, tmp_path):
         tmp_path, {"NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
     assert len(got) == 60 and got.keys() == cz_default.keys()
     assert [n for n in got if got[n] != cz_default[n]] == []
+
+
+_PRINT_CHECKSUMS = """
+from dyadwave import refinable
+for bank_id, bank in sorted(refinable.load_registry().items()):
+    for which in ("primal", "dual"):
+        print(bank_id, which, refinable.cascade(bank, which, 12).checksum)
+"""
+
+
+def _table_checksums(settings):
+    """'bank which checksum' lines of every shipped depth-12 table."""
+    run = subprocess.run([sys.executable, "-c", _PRINT_CHECKSUMS],
+                         env=_subprocess_env(settings), check=True,
+                         timeout=600, capture_output=True, text=True)
+    return run.stdout.splitlines()
+
+
+@NEEDS_OPENBLAS
+@NEEDS_SSE42
+def test_table_checksums_in_subprocess():
+    want = _table_checksums({})
+    assert len(want) == 2 * len(refinable.load_registry())
+    assert _table_checksums(NEHALEM) == want
 
 
 def _misaligned(a):
