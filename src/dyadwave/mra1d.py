@@ -27,6 +27,8 @@ from .errors import LevelOverflow, ResolutionExhausted
 from .gridfn import GridFunction
 
 LEVEL_HEADROOM = 4
+# bound on one temporary of the synthesis loop
+SCATTER_TILE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -87,37 +89,69 @@ def _shift_window(origin_units, size, gap, dual_support):
     return nu_min, nu_max
 
 
+def _gather(rows, first, count, stride, taps):
+    """out[:, j] = sum_t rows[:, first + j * stride + t] * taps[t], j < count.
+
+    Entries outside the rows count as zero.  The windows are a strided
+    view contracted by ``np.einsum`` (numpy's own loop in a fixed order).
+    ``@`` would hand non-overlapping windows, e.g. Haar's, to BLAS, whose
+    last bits depend on the BLAS kernel.
+    """
+    n = rows.shape[1]
+    pad_l = max(0, -first)
+    pad_r = max(0, first + (count - 1) * stride + taps.size - n)
+    if pad_l or pad_r:
+        padded = np.zeros((rows.shape[0], n + pad_l + pad_r),
+                          dtype=np.complex128)
+        padded[:, pad_l:pad_l + n] = rows
+    else:
+        padded = rows
+    s0, s1 = padded.strides
+    view = as_strided(padded[:, first + pad_l:],
+                      shape=(rows.shape[0], count, taps.size),
+                      strides=(s0, stride * s1, s1))
+    return np.einsum("ijk,k->ij", view, taps.astype(np.complex128))
+
+
+def _scatter(coeffs, taps, stride):
+    """out[:, j * stride + t] = sum over j of coeffs[:, j] * taps[t].
+
+    Each cell receives its terms in ascending j.  The loop runs over the
+    shorter of j and t: over j it adds a run of all taps per coefficient,
+    over t, in descending order, one tap times a run of all coefficients.
+    Rows go in tiles so that no temporary exceeds SCATTER_TILE_BYTES.
+    """
+    rows, count = coeffs.shape
+    out = np.zeros((rows, (count - 1) * stride + taps.size),
+                   dtype=np.complex128)
+    taps = taps.astype(np.complex128)
+    by_shift = count <= taps.size
+    tile = max(1, SCATTER_TILE_BYTES // (16 * max(count, taps.size)))
+    for r0 in range(0, rows, tile):
+        c, o = coeffs[r0:r0 + tile], out[r0:r0 + tile]
+        if by_shift:
+            for j in range(count):
+                o[:, j * stride:j * stride + taps.size] += c[:, j:j + 1] * taps
+        else:
+            for t in range(taps.size - 1, -1, -1):
+                o[:, t:t + (count - 1) * stride + 1:stride] += c * taps[t]
+    return out
+
+
 def analyze_rows(rows, origin, depth, level, bank, cache=None):
     """Coefficient rows for a stack of 1-D slices sharing one box.
 
     rows has shape (nslices, n); returns (coeff rows, first shift).  Each
     coefficient is the cell-rule sum of a window of a row against the dual
-    midpoint samples, contracted by ``np.einsum`` (numpy's own loop in a
-    fixed order).  ``@`` would hand non-overlapping windows, e.g. Haar's,
-    to BLAS, whose last bits depend on the BLAS kernel.
+    midpoint samples.
     """
     gap = depth - level
     dual = bank.dual
-    table = _table(bank, "dual", gap, cache)
-    t = table.midpoint_samples(gap)
+    t = _table(bank, "dual", gap, cache).midpoint_samples(gap)
     m = 1 << gap
     nu_min, nu_max = _shift_window(origin, rows.shape[1], gap, dual.support)
-    count = nu_max - nu_min + 1
-    first_col = (nu_min + dual.n_first) * m - origin
-    width = t.size
-    pad_l = max(0, -first_col)
-    pad_r = max(0, first_col + (count - 1) * m + width - rows.shape[1])
-    if pad_l or pad_r:
-        padded = np.zeros((rows.shape[0], rows.shape[1] + pad_l + pad_r),
-                          dtype=np.complex128)
-        padded[:, pad_l:pad_l + rows.shape[1]] = rows
-    else:
-        padded = rows
-    start = first_col + pad_l
-    s0, s1 = padded.strides
-    view = as_strided(padded[:, start:], shape=(rows.shape[0], count, width),
-                      strides=(s0, m * s1, s1))
-    coeffs = np.einsum("ijk,k->ij", view, t.astype(np.complex128))
+    coeffs = _gather(rows, (nu_min + dual.n_first) * m - origin,
+                     nu_max - nu_min + 1, m, t)
     coeffs /= m
     return coeffs, nu_min
 
@@ -133,16 +167,10 @@ def synthesize_rows(coeffs, shift_first, level, bank, depth, cache=None):
         raise ResolutionExhausted(
             f"depth {depth} leaves gap {gap} < {LEVEL_HEADROOM} at level {level}")
     primal = bank.primal
-    table = _table(bank, "primal", gap, cache)
-    u = table.midpoint_samples(gap).astype(np.complex128)
+    u = _table(bank, "primal", gap, cache).midpoint_samples(gap)
     m = 1 << gap
-    count = coeffs.shape[1]
-    width = u.size
-    origin = (shift_first + primal.n_first) * m
-    out = np.zeros((coeffs.shape[0], (count - 1) * m + width), dtype=np.complex128)
-    for j in range(count):
-        out[:, j * m:j * m + width] += coeffs[:, j:j + 1] * u
-    return out, origin
+    return (_scatter(coeffs, u, m),
+            (shift_first + primal.n_first) * m)
 
 
 def project_rows(rows, origin, depth, level, bank, cache=None):
