@@ -152,7 +152,7 @@ def _identity_battery(banks, dim, depth, max_level, seed, cache):
     """Measured residuals for the projector identity suite, one dict each."""
     rng = np.random.default_rng(seed)
     assignment = mrand.banks_for(banks if len(banks) > 1 else banks[0], dim)
-    rough = any(b.smoothness != "pcw_const" for b in assignment.banks)
+    rough = any(b.smoothness != "pcw_const" for b in assignment)
     tol = 1e-6 if rough else 1e-8
     shape = (2 ** depth,) * dim
     f = gridfn.GridFunction(
@@ -170,7 +170,9 @@ def _identity_battery(banks, dim, depth, max_level, seed, cache):
                      "tolerance": float(bound),
                      "pass": bool(measured <= bound)})
 
-    levels = sorted({0, 1, max_level})
+    # levels 1 and 2 where max_level allows, so no check asks for more
+    k1, k2 = min(1, max_level), min(2, max_level)
+    levels = sorted({0, k1, max_level})
     proj = {k: mrand.project_nd(f, (k,) * dim, assignment, cache)
             for k in levels}
     for k in levels:
@@ -207,16 +209,15 @@ def _identity_battery(banks, dim, depth, max_level, seed, cache):
         abs(gridfn.inner_product(proj[max_level], g)
             - gridfn.inner_product(f, pk)) / (nf * ng), tol)
     del pk, proj
-    small = min(2, max_level)
-    ps = mrand.partial_sum(f, (small,) * dim, assignment, cache)
-    pn = mrand.project_nd(f, (small,) * dim, assignment, cache)
+    ps = mrand.partial_sum(f, (k2,) * dim, assignment, cache)
+    pn = mrand.project_nd(f, (k2,) * dim, assignment, cache)
     add("partial_sum_telescopes",
         gridfn.lp_norm(ps - pn, 2) / (gridfn.lp_norm(pn, 2) or 1.0), 1e-9)
     if dim >= 2:
-        a = mrand.apply_axis(mrand.LevelProjection(assignment[0], 1, cache), f, 0)
-        ab = mrand.apply_axis(mrand.LevelProjection(assignment[1], 2, cache), a, 1)
-        b = mrand.apply_axis(mrand.LevelProjection(assignment[1], 2, cache), f, 1)
-        ba = mrand.apply_axis(mrand.LevelProjection(assignment[0], 1, cache), b, 0)
+        e0 = mrand.LevelProjection(assignment[0], k1, cache)
+        e1 = mrand.LevelProjection(assignment[1], k2, cache)
+        ab = mrand.apply_axis(e1, mrand.apply_axis(e0, f, 0), 1)
+        ba = mrand.apply_axis(e0, mrand.apply_axis(e1, f, 1), 0)
         add("axis_commutation", gridfn.lp_norm(ab - ba, 2) / nf, 1e-10)
     # synthesized member: Parseval and reconstruction
     n = 2 ** min(3, max_level)

@@ -101,44 +101,6 @@ class SignPattern:
 # block iteration and the square function
 
 
-def _detail_blocks(f, bound, assignment, cache=None):
-    """Depth-first mixed-detail blocks over the level box cut at `bound`.
-
-    Along each axis every projection is computed once and each detail is
-    the difference of neighbouring levels, the same arithmetic as
-    :class:`mrand.LevelDetail` without projecting the inner levels twice.
-    """
-
-    def rec(g, axis, levels):
-        if axis == f.dim:
-            yield levels, g
-            return
-        prev = None
-        for k in range(bound[axis] + 1):
-            proj = mrand.apply_axis(
-                mrand.LevelProjection(assignment[axis], k, cache), g, axis)
-            part = proj if prev is None else proj - prev
-            prev = proj
-            yield from rec(part, axis + 1, levels + (k,))
-
-    yield from rec(f, 0, ())
-
-
-def _block_frame(f, assignment, cache=None):
-    """Bounding box covering every block: level-0 fattening per axis."""
-    box = []
-    for axis in range(f.dim):
-        bank = assignment[axis]
-        gap = f.depth
-        nu_min, nu_max = mra1d._shift_window(f.origin[axis], f.shape[axis],
-                                             gap, bank.dual.support)
-        lo = (nu_min + bank.primal.n_first) << gap
-        hi = (nu_max + bank.primal.n_last) << gap
-        box.append((min(lo, f.origin[axis]),
-                    max(hi, f.origin[axis] + f.shape[axis])))
-    return tuple(box)
-
-
 def square_function(f, max_level, banks, cache=None):
     """Pointwise l2 aggregation of the detail blocks with levels <= max_level.
 
@@ -150,13 +112,14 @@ def square_function(f, max_level, banks, cache=None):
     """
     assignment = mrand.banks_for(banks, f.dim)
     mra1d._check_level(max_level, f.depth)
-    frame = _block_frame(f, assignment, cache)
-    origin = tuple(lo for lo, _ in frame)
-    acc = np.zeros(tuple(hi - lo for lo, hi in frame), dtype=np.float64)
-    bound = (max_level,) * f.dim
-    for _, block in _detail_blocks(f, bound, assignment, cache):
+    blocks = mrand.detail_blocks(f, (max_level,) * f.dim, assignment, cache)
+    # the first block, of level 0 on every axis, spans every later block
+    _, first = next(blocks)
+    origin, acc = first.origin, abs_sq(first.data)
+    del first
+    for _, block in blocks:
         sel = tuple(slice(o - lo, o - lo + n)
-                    for (lo, _), o, n in zip(frame, block.origin, block.shape))
+                    for o, lo, n in zip(block.origin, origin, block.shape))
         acc[sel] += abs_sq(block.data)
     return GridFunction(np.sqrt(acc), f.depth, origin,
                         meta=f"square_function[K={max_level}]")
@@ -173,15 +136,8 @@ def sign_operator(f, pattern, banks, cache=None):
         pattern = SignPattern.from_table(pattern)
     if pattern.dim != f.dim:
         raise ValueError(f"pattern dimension {pattern.dim} != {f.dim}")
-    out = f
-    for axis in range(f.dim):
-        row = pattern.axis_signs[axis]
-        weights = [row[k] - (row[k + 1] if k + 1 <= pattern.max_level else 0)
-                   for k in range(pattern.max_level + 1)]
-        op = mrand.WeightedProjectionSum(mrand.banks_for(banks, f.dim)[axis],
-                                         weights, cache)
-        out = mrand.apply_axis(op, out, axis)
-    return out
+    weights = [np.subtract(row, row[1:] + (0,)) for row in pattern.axis_signs]
+    return mrand.tensor_level_sum(f, weights, banks, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +265,17 @@ def khintchine_check(a, p, exact_limit=16, mc_trials=200_000, seed=0):
 
 
 def synthesize_nd(coeffs, shift_firsts, levels, banks, depth, cache=None):
-    """Tensor synthesis of a dense coefficient array at a level vector."""
-    arr = np.asarray(coeffs, dtype=np.complex128)
-    assignment = mrand.banks_for(banks, arr.ndim)
-    origins = []
-    data = arr
-    for axis in range(arr.ndim):
-        moved = np.moveaxis(data, axis, -1)
-        lead = moved.shape[:-1]
-        rows = np.ascontiguousarray(moved.reshape(-1, moved.shape[-1]))
-        rows, org = mra1d.synthesize_rows(rows, shift_firsts[axis],
-                                          levels[axis], assignment[axis],
-                                          depth, cache)
-        data = np.moveaxis(rows.reshape(lead + (rows.shape[1],)), -1, axis)
-        origins.append(org)
-    return GridFunction(data, depth, tuple(origins), meta="synthesize_nd")
+    """Tensor synthesis of a dense coefficient array at a level vector.
+
+    One axis at a time; meanwhile g holds coefficients, from their first
+    shifts, along the axes still to do.
+    """
+    g = GridFunction(coeffs, depth, shift_firsts, meta="synthesize_nd")
+    for axis, bank in enumerate(mrand.banks_for(banks, g.dim)):
+        rows, first = mrand.axis_rows(g, axis)
+        g = mrand.from_axis_rows(*mra1d.synthesize_rows(
+            rows, first, levels[axis], bank, depth, cache), g, axis)
+    return g
 
 
 def libm_map(fn, x):
@@ -453,10 +405,11 @@ def write_ratio_csv(records, path):
 def _entry_records(args):
     (fid, f, p_list, assignment, max_level, trials, seed, index, cache) = args
     t0 = time.perf_counter()
+    filters = "+".join(b.bank_id for b in assignment)
     nf2 = lp_norm(f, 2)
     if nf2 == 0.0:
         return [RatioRecord(
-            function_id=fid, filters="+".join(assignment.ids), dim=f.dim,
+            function_id=fid, filters=filters, dim=f.dim,
             p=float(p), depth=f.depth, max_level=max_level, norm_f=0.0,
             norm_sf=0.0, ratio=0.0, sign_ratio_max=0.0, tail_rel=0.0,
             status="skipped", reason="zero norm") for p in p_list]
@@ -477,7 +430,7 @@ def _entry_records(args):
     for i, p in enumerate(p_list):
         smax = max((ns[i] / nf[i] for ns in nsigned), default=0.0)
         records.append(RatioRecord(
-            function_id=fid, filters="+".join(assignment.ids), dim=f.dim,
+            function_id=fid, filters=filters, dim=f.dim,
             p=float(p), depth=f.depth, max_level=max_level, norm_f=nf[i],
             norm_sf=nsf[i], ratio=nsf[i] / nf[i], sign_ratio_max=smax,
             tail_rel=tail[i] / nf[i], runtime=time.perf_counter() - t0))
@@ -503,7 +456,7 @@ def lp_sweep(corpus, p_list, banks, max_level, trials=0, seed=0, jobs=1,
     else:
         chunks = [_entry_records(t) for t in tasks]
     records = [r for chunk in chunks for r in chunk]
-    summary = {"dim": dim, "filters": "+".join(assignment.ids),
+    summary = {"dim": dim, "filters": "+".join(b.bank_id for b in assignment),
                "max_level": max_level, "seed": seed, "trials": trials,
                "entries": len(corpus), "per_p": {}}
     for p in p_list:

@@ -12,11 +12,15 @@ Everything is quadrature on the function's own grid: integrals use the cell
 rule with generator values at cell midpoints, exact for piecewise-constant
 generators.  The row kernels at the bottom operate on stacks of 1-D slices
 so the d-dimensional module can reuse them wholesale.
+
+A weighted sum of projections moves between levels in coefficient space
+(the fast wavelet transform, :func:`level_sums`).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,18 +101,13 @@ def _gather(rows, first, count, stride, taps):
     ``@`` would hand non-overlapping windows, e.g. Haar's, to BLAS, whose
     last bits depend on the BLAS kernel.
     """
-    n = rows.shape[1]
     pad_l = max(0, -first)
-    pad_r = max(0, first + (count - 1) * stride + taps.size - n)
+    pad_r = max(0, first + (count - 1) * stride + taps.size - rows.shape[1])
     if pad_l or pad_r:
-        padded = np.zeros((rows.shape[0], n + pad_l + pad_r),
-                          dtype=np.complex128)
-        padded[:, pad_l:pad_l + n] = rows
-    else:
-        padded = rows
-    s0, s1 = padded.strides
-    view = as_strided(padded[:, first + pad_l:],
-                      shape=(rows.shape[0], count, taps.size),
+        rows = np.pad(rows, ((0, 0), (pad_l, pad_r)))
+    s0, s1 = rows.strides
+    view = as_strided(rows[:, first + pad_l:],
+                      shape=(len(rows), count, taps.size),
                       strides=(s0, stride * s1, s1))
     return np.einsum("ijk,k->ij", view, taps.astype(np.complex128))
 
@@ -119,7 +118,7 @@ def _scatter(coeffs, taps, stride):
     Each cell receives its terms in ascending j.  The loop runs over the
     shorter of j and t: over j it adds a run of all taps per coefficient,
     over t, in descending order, one tap times a run of all coefficients.
-    Rows go in tiles so that no temporary exceeds SCATTER_TILE_BYTES.
+    Row tiles keep temporaries under SCATTER_TILE_BYTES where a row fits.
     """
     rows, count = coeffs.shape
     out = np.zeros((rows, (count - 1) * stride + taps.size),
@@ -173,9 +172,43 @@ def synthesize_rows(coeffs, shift_first, level, bank, depth, cache=None):
             (shift_first + primal.n_first) * m)
 
 
-def project_rows(rows, origin, depth, level, bank, cache=None):
-    coeffs, nu_min = analyze_rows(rows, origin, depth, level, bank, cache)
-    return synthesize_rows(coeffs, nu_min, level, bank, depth, cache)
+def level_sums(rows, origin, depth, weight_vectors, bank, cache=None):
+    """sum_k w[k] E_k of one stack of rows, for each weight vector w in turn.
+
+    One analysis at the highest weighted level, then down-steps
+    c_nu = 2^(-1/2) sum_n h*_n c'_(2 nu + n) with the dual mask h*, each
+    kept to the shift window of a direct analysis at its level.  Each sum
+    is built by Horner's scheme in coefficient space, with up-steps
+    d_mu = 2^(1/2) sum_nu c_nu h_(mu - 2 nu) of the primal mask h, and
+    synthesised once at the top level.  Yields (rows, origin) per vector.
+    """
+    levels = [k for w in weight_vectors for k, x in enumerate(w) if x]
+    bottom, top = min(levels), max(levels)
+    _check_level(top, depth)
+    dual, primal = bank.dual, bank.primal
+    pyramid = [analyze_rows(rows, origin, depth, top, bank, cache)]
+    for level in range(top - 1, bottom - 1, -1):
+        coeffs, first = pyramid[0]
+        nu_min, nu_max = _shift_window(origin, rows.shape[1], depth - level,
+                                       dual.support)
+        pyramid.insert(0, (_gather(coeffs, 2 * nu_min + dual.n_first - first,
+                                   nu_max - nu_min + 1, 2,
+                                   dual.array() / refinable.SQRT2), nu_min))
+    for weights in weight_vectors:
+        acc = None
+        for (coeffs, first), w in itertools.zip_longest(
+                pyramid, weights[bottom:top + 1], fillvalue=0.0):
+            if acc is None:
+                if w:
+                    acc = (coeffs if w == 1.0 else w * coeffs, first)
+                continue
+            acc = (_scatter(acc[0], refinable.SQRT2 * primal.array(), 2),
+                   2 * acc[1] + primal.n_first)
+            if w:
+                # the refined window holds this level's (supports overlap)
+                lo = first - acc[1]
+                acc[0][:, lo:lo + coeffs.shape[1]] += w * coeffs
+        yield synthesize_rows(*acc, top, bank, depth, cache)
 
 
 def _require_1d(f):
@@ -210,8 +243,9 @@ def project(f, level, bank, cache=None):
     _require_1d(f)
     _check_level(level, f.depth)
     refinable.ensure_accepted(bank)
-    rows, origin = project_rows(f.data[None, :], f.origin[0], f.depth,
-                                level, bank, cache)
+    coeffs, nu_min = analyze_rows(f.data[None, :], f.origin[0], f.depth,
+                                  level, bank, cache)
+    rows, origin = synthesize_rows(coeffs, nu_min, level, bank, f.depth, cache)
     return GridFunction(rows[0], f.depth, (origin,),
                         meta=f"project[{bank.bank_id},k={level}]")
 

@@ -7,12 +7,11 @@ ordered product of the per-axis liftings (applied j = 0..d-1 for
 determinism), and the mixed difference factorizes into per-axis details --
 equivalently it is the alternating sum of tensor projectors over the binary
 patterns supported where k is positive.  Both forms are implemented; their
-agreement is a primary test, not an assumption.
+agreement is a primary test, not an assumption.  Each 1-D operator is a
+weighted sum of level projections, :class:`LevelSum`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,80 +21,25 @@ from .gridfn import (GridFunction, box_range, pattern_parity, pattern_within,
                      sign_patterns)
 
 
-@dataclass(frozen=True)
-class TensorBankAssignment:
-    """One accepted filter bank per axis."""
-
-    banks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "banks", tuple(self.banks))
-        for bank in self.banks:
-            refinable.ensure_accepted(bank)
-
-    def __len__(self):
-        return len(self.banks)
-
-    def __getitem__(self, j):
-        return self.banks[j]
-
-    @property
-    def ids(self):
-        return tuple(b.bank_id for b in self.banks)
-
-
 def banks_for(banks, dim):
-    """Normalize a bank argument to a per-axis assignment of length dim."""
-    if isinstance(banks, TensorBankAssignment):
-        assignment = banks
-    elif isinstance(banks, refinable.FilterBank):
-        assignment = TensorBankAssignment((banks,) * dim)
-    else:
-        assignment = TensorBankAssignment(tuple(banks))
-    if len(assignment) != dim:
-        raise ValueError(f"{len(assignment)} banks for dimension {dim}")
-    return assignment
+    """Normalize a bank argument to a tuple of accepted banks, one per axis."""
+    if isinstance(banks, refinable.FilterBank):
+        banks = (banks,) * dim
+    banks = tuple(banks)
+    if len(banks) != dim:
+        raise ValueError(f"{len(banks)} banks for dimension {dim}")
+    for bank in banks:
+        refinable.ensure_accepted(bank)
+    return banks
 
 
-class LevelProjection:
-    """Level-k 1-D projection as an axis-liftable transform."""
+class LevelSum:
+    """sum_k w[k] E_k along one axis, for per-level weights w[0..K].
 
-    def __init__(self, bank, level, cache=None):
-        self.bank = bank
-        self.level = level
-        self.cache = cache
-
-    def apply_rows(self, rows, origin, depth):
-        mra1d._check_level(self.level, depth)
-        return mra1d.project_rows(rows, origin, depth, self.level, self.bank,
-                                  self.cache)
-
-
-class LevelDetail:
-    """Difference of consecutive level projections, liftable per axis."""
-
-    def __init__(self, bank, level, cache=None):
-        self.bank = bank
-        self.level = level
-        self.cache = cache
-
-    def apply_rows(self, rows, origin, depth):
-        hi, org_hi = mra1d.project_rows(rows, origin, depth, self.level,
-                                        self.bank, self.cache)
-        if self.level == 0:
-            return hi, org_hi
-        lo, org_lo = mra1d.project_rows(rows, origin, depth, self.level - 1,
-                                        self.bank, self.cache)
-        start = min(org_hi, org_lo)
-        stop = max(org_hi + hi.shape[1], org_lo + lo.shape[1])
-        out = np.zeros((rows.shape[0], stop - start), dtype=np.complex128)
-        out[:, org_hi - start:org_hi - start + hi.shape[1]] = hi
-        out[:, org_lo - start:org_lo - start + lo.shape[1]] -= lo
-        return out, start
-
-
-class WeightedProjectionSum:
-    """sum_k w[k] E_k along one axis, evaluated with one pass per level."""
+    One analysis and one synthesis, with the levels between them in
+    coefficient space (:func:`mra1d.level_sums`).  A projection is a
+    one-hot weight vector, a detail is (..., -1, +1).
+    """
 
     def __init__(self, bank, weights, cache=None):
         self.bank = bank
@@ -103,19 +47,37 @@ class WeightedProjectionSum:
         self.cache = cache
 
     def apply_rows(self, rows, origin, depth):
-        pieces = []
-        for level, w in enumerate(self.weights):
-            if w == 0.0:
-                continue
-            arr, org = mra1d.project_rows(rows, origin, depth, level,
-                                          self.bank, self.cache)
-            pieces.append((w, arr, org))
-        start = min(org for _, _, org in pieces)
-        stop = max(org + arr.shape[1] for _, arr, org in pieces)
-        out = np.zeros((rows.shape[0], stop - start), dtype=np.complex128)
-        for w, arr, org in pieces:
-            out[:, org - start:org - start + arr.shape[1]] += w * arr
-        return out, start
+        return next(mra1d.level_sums(rows, origin, depth, [self.weights],
+                                     self.bank, self.cache))
+
+
+class LevelProjection(LevelSum):
+    """E_level along one axis: the one-hot weight vector."""
+
+    def __init__(self, bank, level, cache=None):
+        super().__init__(bank, (0.0,) * level + (1.0,), cache)
+
+
+def detail_weights(level):
+    """Weights of E_level - E_(level-1); at level 0, of E_0."""
+    return (0.0,) * (level - 1) + (-1.0, 1.0) if level else (1.0,)
+
+
+def axis_rows(f, axis):
+    """The 1-D slices of f along `axis` as one stack of rows, and their origin."""
+    if not 0 <= axis < f.dim:
+        raise AxisOutOfRange(f"axis {axis} for dimension {f.dim}")
+    moved = np.moveaxis(f.data, axis, -1)
+    return (np.ascontiguousarray(moved.reshape(-1, moved.shape[-1])),
+            f.origin[axis])
+
+
+def from_axis_rows(rows, origin, f, axis):
+    """f with its slices along `axis` replaced by rows that start at origin."""
+    lead = f.shape[:axis] + f.shape[axis + 1:]
+    data = np.moveaxis(rows.reshape(lead + (rows.shape[1],)), -1, axis)
+    origins = f.origin[:axis] + (origin,) + f.origin[axis + 1:]
+    return GridFunction(data, f.depth, origins, f.meta)
 
 
 def apply_axis(base, f, axis):
@@ -125,16 +87,8 @@ def apply_axis(base, f, axis):
     slices in that direction at once, as an array of rows sharing one
     origin, and returns the output rows with their common new origin.
     """
-    if not 0 <= axis < f.dim:
-        raise AxisOutOfRange(f"axis {axis} for dimension {f.dim}")
-    moved = np.moveaxis(f.data, axis, -1)
-    lead = moved.shape[:-1]
-    rows = np.ascontiguousarray(moved.reshape(-1, moved.shape[-1]))
-    out_rows, new_org = base.apply_rows(rows, f.origin[axis], f.depth)
-    data = np.moveaxis(out_rows.reshape(lead + (out_rows.shape[1],)), -1, axis)
-    origin = list(f.origin)
-    origin[axis] = new_org
-    return GridFunction(data, f.depth, tuple(origin), f.meta)
+    rows, origin = axis_rows(f, axis)
+    return from_axis_rows(*base.apply_rows(rows, origin, f.depth), f, axis)
 
 
 def _levels_tuple(levels, dim):
@@ -148,15 +102,18 @@ def _levels_tuple(levels, dim):
     return levels
 
 
+def tensor_level_sum(f, weights, banks, cache=None):
+    """Product over axes a of the 1-D sums sum_k weights[a][k] E_k."""
+    out = f
+    for axis, bank in enumerate(banks_for(banks, f.dim)):
+        out = apply_axis(LevelSum(bank, weights[axis], cache), out, axis)
+    return out
+
+
 def project_nd(f, levels, banks, cache=None):
     """Tensor projector: per-axis level projections composed over axes."""
-    levels = _levels_tuple(levels, f.dim)
-    assignment = banks_for(banks, f.dim)
-    out = f
-    for axis in range(f.dim):
-        out = apply_axis(LevelProjection(assignment[axis], levels[axis], cache),
-                         out, axis)
-    return out
+    weights = [(0.0,) * k + (1.0,) for k in _levels_tuple(levels, f.dim)]
+    return tensor_level_sum(f, weights, banks, cache)
 
 
 def mixed_detail(f, levels, banks, form="factorized", cache=None):
@@ -169,11 +126,8 @@ def mixed_detail(f, levels, banks, form="factorized", cache=None):
     levels = _levels_tuple(levels, f.dim)
     assignment = banks_for(banks, f.dim)
     if form == "factorized":
-        out = f
-        for axis in range(f.dim):
-            out = apply_axis(LevelDetail(assignment[axis], levels[axis], cache),
-                             out, axis)
-        return out
+        return tensor_level_sum(f, [detail_weights(k) for k in levels],
+                                assignment, cache)
     if form == "alternating":
         total = None
         for eps in sign_patterns(f.dim):
@@ -186,6 +140,27 @@ def mixed_detail(f, levels, banks, form="factorized", cache=None):
             total = term if total is None else total + term
         return total
     raise ValueError(f"unknown form {form!r}")
+
+
+def detail_blocks(f, bound, assignment, cache=None):
+    """Depth-first mixed-detail blocks over the level box cut at `bound`.
+
+    Along each axis all blocks come from one coefficient pyramid of the
+    input (:func:`mra1d.level_sums`), so only the bound's tables are read.
+    """
+
+    def rec(g, axis, levels):
+        if axis == f.dim:
+            yield levels, g
+            return
+        weights = [detail_weights(k) for k in range(bound[axis] + 1)]
+        blocks = mra1d.level_sums(*axis_rows(g, axis), g.depth, weights,
+                                  assignment[axis], cache)
+        for k, (rows, origin) in enumerate(blocks):
+            yield from rec(from_axis_rows(rows, origin, g, axis), axis + 1,
+                           levels + (k,))
+
+    yield from rec(f, 0, ())
 
 
 def partial_sum(f, bound, banks, cache=None):

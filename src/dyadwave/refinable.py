@@ -517,19 +517,27 @@ def load_table(path):
 class TableCache:
     """Memoized dyadic tables, optionally persisted to a directory.
 
-    Disk entries are keyed by (bank id, which, depth, mask digest); a stale
-    or corrupt file is rebuilt silently with a log line.
+    Tables are keyed by mask: a dual mask equal to the primal one shares
+    its table, in memory and on disk.  Disk entries are named by (bank id,
+    mask, depth, digest of both masks); a stale or corrupt file is rebuilt
+    silently with a log line.
     """
 
     def __init__(self, directory=None):
         self.directory = Path(directory) if directory is not None else None
         self._memo = {}
 
+    @staticmethod
+    def _mask_name(bank, which):
+        return "primal" if bank.mask(which) == bank.primal else which
+
     def _path(self, bank, which, depth):
+        which = self._mask_name(bank, which)
         name = f"{bank.bank_id}-{which}-L{depth}-{mask_digest(bank)}.hwtb"
         return self.directory / name
 
     def get(self, bank, which, depth):
+        which = self._mask_name(bank, which)
         key = (bank.bank_id, mask_digest(bank), which, depth)
         table = self._memo.get(key)
         if table is not None:

@@ -106,6 +106,17 @@ def test_identities_2d_mixed_banks(tmp_path, capsys):
     assert "axis_commutation: PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("dim, depth, max_level, checks", [
+    ("1", "4", "0", 6), ("2", "5", "1", 11)])
+def test_identities_low_max_level(tmp_path, capsys, dim, depth, max_level,
+                                  checks):
+    # the headroom check accepts these; no check may ask for a higher level
+    rc = run(["identities", "--banks", "haar", "--dim", dim, "--depth", depth,
+              "--max-level", max_level, "--out", str(tmp_path)])
+    assert rc == 0
+    assert f"checks = {checks}, failures = 0" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # lp-sweep
 

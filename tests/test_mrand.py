@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dyadwave import gridfn as gf
-from dyadwave import mra1d, mrand
+from dyadwave import lpharness as lp
+from dyadwave import mra1d, mrand, refinable
 from dyadwave.errors import AxisOutOfRange
 
 
@@ -256,3 +257,83 @@ def test_convergence_2d(db4):
                 for k in range(4)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= 2e-2
+
+
+# ---------------------------------------------------------------------------
+# level pyramid: one analysis, coefficient-space levels, one synthesis
+
+
+def _direct_sum(f, weights, bank):
+    """sum_k w_k E_k f of a 1-D function from direct level-k quadratures."""
+    total = None
+    for k, w in enumerate(weights):
+        if w:
+            term = w * mra1d.project(f, k, bank)
+            total = term if total is None else total + term
+    return total
+
+
+def _weight_vectors(top, rng):
+    # E_0 also written with zeros up to the top level
+    onehot = [(0.0,) * k + (1.0,) for k in range(top + 1)]
+    onehot.append((1.0,) + (0.0,) * top)
+    details = [mrand.detail_weights(k) for k in range(top + 1)]
+    return onehot + details + [tuple(rng.standard_normal(top + 1))]
+
+
+@pytest.mark.parametrize("bank_name",
+                         ["haar", "db2", "db3", "db4", "spline24"])
+@pytest.mark.parametrize("shape, depth, origin, axis", [
+    ((2 ** 9 + 7,), 9, (-11,), 0),
+    ((12, 2 ** 8 + 13), 8, (-3, 21), 0),
+    ((12, 2 ** 8 + 13), 8, (-3, 21), 1),
+], ids=["1d", "2d-axis0", "2d-axis1"])
+def test_level_sum_matches_direct_projections(registry, rng, bank_name, shape,
+                                              depth, origin, axis):
+    # oracle: every slice along the axis, projected level by level with
+    # mra1d.project and summed on the grid
+    bank = registry[bank_name]
+    top = depth - mra1d.LEVEL_HEADROOM
+    f = noise(rng, shape, depth, origin)
+    moved = np.moveaxis(f.data, axis, -1)
+    lines = [gf.GridFunction(line, depth, (origin[axis],))
+             for line in moved.reshape(-1, moved.shape[-1])]
+    for weights in _weight_vectors(top, rng):
+        refs = [_direct_sum(line, weights, bank) for line in lines]
+        assert len({r.box() for r in refs}) == 1
+        want = np.moveaxis(np.stack([r.data for r in refs]).reshape(
+            moved.shape[:-1] + (-1,)), -1, axis)
+        got = mrand.apply_axis(mrand.LevelSum(bank, weights), f, axis)
+        assert got.origin[axis] == refs[0].origin[0]
+        assert got.shape == want.shape
+        if sum(w != 0 for w in weights) == 1 and max(weights) == 1.0:
+            assert np.array_equal(got.data, want), weights
+        else:
+            scale = np.abs(want).max()
+            assert np.abs(got.data - want).max() <= 1e-13 * scale, weights
+
+
+class _DepthRecorder(refinable.TableCache):
+    def __init__(self):
+        super().__init__()
+        self.depths = set()
+
+    def get(self, bank, which, depth):
+        self.depths.add(depth)
+        return super().get(bank, which, depth)
+
+
+@pytest.mark.parametrize("bank_name", ["db4", "spline24"])
+@pytest.mark.parametrize("shape, depth, top", [((2 ** 10,), 10, 4),
+                                               ((64, 64), 6, 2)])
+def test_operators_read_one_table_depth(registry, rng, bank_name, shape,
+                                        depth, top):
+    bank = registry[bank_name]
+    f = noise(rng, shape, depth)
+    pattern = lp.SignPattern.random(len(shape), top, rng)
+    for run in (lambda c: lp.square_function(f, top, bank, c),
+                lambda c: lp.sign_operator(f, pattern, bank, c),
+                lambda c: mrand.project_nd(f, (top,) * len(shape), bank, c)):
+        cache = _DepthRecorder()
+        run(cache)
+        assert cache.depths == {depth - top + 1}

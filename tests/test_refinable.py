@@ -279,6 +279,24 @@ def test_cache_builds_and_rebuilds(tmp_path, db2):
     assert refinable.load_table(files[0]) is not None
 
 
+def test_cache_shares_equal_masks(tmp_path, registry):
+    cache = refinable.TableCache(tmp_path)
+    for name in ("haar", "db2", "db3", "db4"):
+        bank = registry[name]
+        assert cache.get(bank, "primal", 7) is cache.get(bank, "dual", 7)
+    spline = registry["spline24"]
+    assert cache.get(spline, "primal", 7) is not cache.get(spline, "dual", 7)
+    assert len(list(tmp_path.glob("*.hwtb"))) == 6
+    # a fresh cache reads the shared files back for either mask name
+    fresh = refinable.TableCache(tmp_path)
+    for bank in registry.values():
+        for which in ("primal", "dual"):
+            want = refinable.cascade(bank, which, 7)
+            got = fresh.get(bank, which, 7)
+            assert np.array_equal(got.values, want.values)
+            assert got.checksum == want.checksum
+
+
 def _hwtb1_bytes(table, derivatives):
     """A table file in the old HWTB1 layout, with a valid sha256 trailer.
 

@@ -11,8 +11,14 @@ writes criterion 8's CSVs into a directory, which is how ``tests/golden``
 is regenerated:
 
     PYTHONPATH=src python tests/test_reproducibility.py tests/golden
+
+Over existing files it prints, per column, the rows that changed, the
+largest change in units in the last place and the largest relative change.
 """
 
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
@@ -59,12 +65,63 @@ NEEDS_SSE42 = pytest.mark.skipif(not __cpu_features__.get("SSE42"),
 
 
 def write_first_depth_csvs(out_dir, registry=None):
-    """Criterion 8's first-depth ratio CSVs, one per sweep tag."""
+    """Criterion 8's first-depth ratio CSVs, one per sweep tag.
+
+    Returns the :func:`column_changes` lines of every file it replaced.
+    """
     registry = registry or refinable.load_registry()
     Path(out_dir).mkdir(parents=True, exist_ok=True)
+    changes = []
     for tag, cfg in SWEEP_CONFIGS.items():
+        path = Path(out_dir) / f"ratios-{tag}.csv"
+        old = path.read_text() if path.exists() else None
         records, _ = _sweep_records(registry, tag, cfg["depths"][0])
-        lp.write_ratio_csv(records, Path(out_dir) / f"ratios-{tag}.csv")
+        lp.write_ratio_csv(records, path)
+        if old is not None:
+            changes += [f"{path.name} {line}"
+                        for line in column_changes(old, path.read_text())]
+    return changes
+
+
+def _ulps(x, y):
+    """Distance of two floats in units in the last place."""
+    a, b = np.array([x, y], dtype=np.float64).view(np.int64)
+    a, b = (int(v) if v >= 0 else -(int(v) & (2 ** 63 - 1)) for v in (a, b))
+    return abs(a - b)
+
+
+def column_changes(old, new):
+    """Per column of two ratio CSVs: rows changed, max ulp, max relative."""
+    old_rows = list(csv.reader(io.StringIO(old)))
+    new_rows = list(csv.reader(io.StringIO(new)))
+    if old_rows[0] != new_rows[0] or len(old_rows) != len(new_rows):
+        return ["header or row count changed"]
+    lines = []
+    for i, name in enumerate(new_rows[0]):
+        pairs = [(a[i], b[i]) for a, b in zip(old_rows[1:], new_rows[1:])
+                 if a[i] != b[i]]
+        ulp = rel = 0.0
+        for a, b in pairs:
+            try:
+                x, y = float(a), float(b)
+            except ValueError:
+                rel = math.inf
+                continue
+            ulp = max(ulp, _ulps(x, y))
+            rel = max(rel, abs(y - x) / abs(x) if x else math.inf)
+        lines.append(f"{name}: {len(pairs)} of {len(new_rows) - 1} rows "
+                     f"changed, max {ulp:g} ulp, max relative {rel:.2e}")
+    return lines
+
+
+def test_column_changes():
+    old = "a,x,s\r\n1,1.0,ok\r\n2,2.0,ok\r\n"
+    new = "a,x,s\r\n1,1.0000000000000002,ok\r\n2,2.0,skipped\r\n"
+    assert column_changes(old, new) == [
+        "a: 0 of 2 rows changed, max 0 ulp, max relative 0.00e+00",
+        "x: 1 of 2 rows changed, max 1 ulp, max relative 2.22e-16",
+        "s: 1 of 2 rows changed, max 0 ulp, max relative inf"]
+    assert _ulps(-0.0, 0.0) == 0 and _ulps(-5e-324, 5e-324) == 2
 
 
 def _assert_golden(out_dir):
@@ -184,4 +241,5 @@ def test_golden_bytes_from_moved_inputs(registry, layout, jobs, tmp_path):
 
 
 if __name__ == "__main__":
-    write_first_depth_csvs(sys.argv[1])
+    for line in write_first_depth_csvs(sys.argv[1]):
+        print(line)
