@@ -219,7 +219,7 @@ def _identity_battery(banks, dim, depth, max_level, seed, cache):
         ab = mrand.apply_axis(e1, mrand.apply_axis(e0, f, 0), 1)
         ba = mrand.apply_axis(e0, mrand.apply_axis(e1, f, 1), 0)
         add("axis_commutation", gridfn.lp_norm(ab - ba, 2) / nf, 1e-10)
-    # synthesized member: Parseval and reconstruction
+    # synthesized member: Parseval and reconstruction, from the same blocks
     n = 2 ** min(3, max_level)
     coeffs = (rng.standard_normal((n,) * dim)
               + 1j * rng.standard_normal((n,) * dim))
@@ -227,13 +227,12 @@ def _identity_battery(banks, dim, depth, max_level, seed, cache):
                                      (min(3, max_level),) * dim,
                                      assignment, depth, cache)
     nm2 = gridfn.lp_norm(member, 2) ** 2
-    total = 0.0
+    total, rec = 0.0, None
     for kvec in gridfn.box_range((min(3, max_level),) * dim):
         blk = mrand.mixed_detail(member, kvec, assignment, cache=cache)
         total += gridfn.lp_norm(blk, 2) ** 2
+        rec = blk if rec is None else rec + blk
     add("parseval_synth", abs(nm2 - total) / nm2, tol)
-    rec = mrand.partial_sum(member, (min(3, max_level),) * dim, assignment,
-                            cache)
     add("reconstruction_synth",
         gridfn.lp_norm(rec - member, 2) / gridfn.lp_norm(member, 2), tol)
     return rows
@@ -344,7 +343,7 @@ def _cz_corpus_member(depth, seed):
         x = (np.arange(n) + 0.5) / n
         data = (lpharness.libm_map(math.sin, 9.0 * x)
                 + 8.0 * lpharness.libm_map(math.exp, -((x - 0.5) / 0.02) ** 2))
-    return gridfn.GridFunction(data + 0j, depth, (int(rng.integers(-n, n)),))
+    return gridfn.GridFunction(data, depth, (int(rng.integers(-n, n)),))
 
 
 def cmd_cz(args, config):

@@ -196,7 +196,7 @@ def cz_decompose(f, alpha):
     ranges = [c.grid_range(depth) for c in cubes]
     g_lo = min([origin] + [lo for lo, _ in ranges])
     g_hi = max([origin + size] + [hi for _, hi in ranges])
-    g_data = np.zeros(g_hi - g_lo, dtype=np.complex128)
+    g_data = np.zeros(g_hi - g_lo)
     g_data[origin - g_lo:origin - g_lo + size] = data
     bad_parts = []
     for cube, (lo, hi), avg in zip(cubes, ranges, averages):
@@ -285,7 +285,7 @@ def verify_cz(dec, f):
         raise DepthMismatch("decomposition and f have different depths")
     r_lo = min(p.origin[0] for p in parts + (f,))
     r_hi = max(p.origin[0] + p.shape[0] for p in parts + (f,))
-    recon = np.zeros(r_hi - r_lo, dtype=np.complex128)
+    recon = np.zeros(r_hi - r_lo, dtype=f.data.dtype)
     for p in parts:
         recon[p.origin[0] - r_lo:p.origin[0] - r_lo + p.shape[0]] += p.data
     recon[origin - r_lo:origin - r_lo + data.size] -= f.data

@@ -1,11 +1,11 @@
 """Sampled functions on uniform dyadic grids, with quadrature and norms.
 
-A :class:`GridFunction` of depth J stores one complex value per half-open
-cell ``[(o+i) 2^-J, (o+i+1) 2^-J)`` of its bounding box and is read as the
-step function that is constant on each cell.  All quadrature is therefore
-the plain cell sum, which is exact for the step function itself; continuous
-integrands should be sampled at cell midpoints (:func:`sample`), making the
-cell sum a midpoint rule.
+A :class:`GridFunction` of depth J stores one real or complex value per
+half-open cell ``[(o+i) 2^-J, (o+i+1) 2^-J)`` of its bounding box and is
+read as the step function that is constant on each cell.  All quadrature
+is therefore the plain cell sum, which is exact for the step function
+itself; continuous integrands should be sampled at cell midpoints
+(:func:`sample`), making the cell sum a midpoint rule.
 
 The module also hosts the shared multi-index helpers: the binary patterns
 of inclusion-exclusion and box enumeration.
@@ -35,9 +35,9 @@ def _as_tuple(value, dim):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a dyadic grid; immutable after construction.
+    """Real or complex samples on a dyadic grid; immutable after construction.
 
-    data    -- d-dimensional complex array of cell values
+    data    -- d-dimensional cell values: complex128 if complex, else float64
     depth   -- grid step is 2**-depth along every axis
     origin  -- integer corner of the bounding box, in grid units
     meta    -- free-form provenance string
@@ -52,9 +52,8 @@ class GridFunction:
         arr = np.asarray(self.data)
         if arr.ndim < 1 or arr.ndim > MAX_DIM:
             raise ValueError(f"dimension {arr.ndim} outside 1..{MAX_DIM}")
-        if arr.dtype != np.complex128:
-            arr = arr.astype(np.complex128)
-        arr = np.ascontiguousarray(arr)
+        arr = np.ascontiguousarray(
+            arr, np.complex128 if np.iscomplexobj(arr) else np.float64)
         if not np.isfinite(arr.view(np.float64)).all():
             raise ValueError("grid data contains NaN or Inf")
         arr.setflags(write=False)
@@ -117,7 +116,7 @@ def union_box(*boxes):
 
 def embed(f, box):
     """Zero-extend f onto a covering box; returns a plain array."""
-    out = np.zeros(tuple(hi - lo for lo, hi in box), dtype=np.complex128)
+    out = np.zeros(tuple(hi - lo for lo, hi in box), dtype=f.data.dtype)
     out[_slot(f, box)] = f.data
     return out
 
@@ -142,7 +141,7 @@ def combine(f, g, op):
     if f.dim != g.dim:
         raise ValueError(f"dimensions {f.dim} != {g.dim}")
     box = union_box(f.box(), g.box())
-    out = embed(f, box)
+    out = embed(f, box).astype(np.result_type(f.data, g.data), copy=False)
     sel = _slot(g, box)
     op(out[sel], g.data, out=out[sel])
     return GridFunction(out, f.depth, tuple(lo for lo, _ in box))
@@ -169,7 +168,7 @@ def sample(fn, depth, box, meta=""):
     else:
         values = fn(*np.meshgrid(*axes, indexing="ij"))
     values = np.broadcast_to(values, tuple(hi - lo for lo, hi in grid_box))
-    return GridFunction(np.array(values, dtype=np.complex128), depth,
+    return GridFunction(np.array(values), depth,
                         tuple(lo for lo, _ in grid_box), meta)
 
 
@@ -198,14 +197,15 @@ def inner_product(f, g):
 
 
 def abs_sq(data):
-    """|z|^2 of a complex array as re*re + im*im.
+    """|z|^2 of a real or complex array: v*v, or re*re + im*im.
 
     Built from correctly rounded operations only, so the bits do not depend
     on the SIMD loop numpy dispatches (``np.abs`` of a complex array does).
+    A real array gives the bits of the same values stored as complex.
     """
     v = np.ascontiguousarray(data).view(np.float64)
     sq = v * v
-    return sq[..., 0::2] + sq[..., 1::2]
+    return sq[..., 0::2] + sq[..., 1::2] if np.iscomplexobj(data) else sq
 
 
 def _power(s, q):
@@ -234,7 +234,7 @@ def _power(s, q):
 
 
 def lp_norms(f, ps):
-    """[lp_norm(f, p) for p in ps], sharing one |f|^2 pass.
+    """[lp_norm(f, p) for p in ps], f real or complex, sharing one |f|^2 pass.
 
     Each norm is (sum |f|^p * cellvolume)^(1/p) with |f|^p = (|f|^2)^(p/2)
     from :func:`abs_sq` and :func:`_power`, and the sum is numpy's pairwise

@@ -106,9 +106,9 @@ def square_function(f, max_level, banks, cache=None):
 
     Returns a nonnegative real-valued grid function; monotone in max_level
     pointwise since blocks only accumulate.  Each block adds its |.|^2 from
-    :func:`gridfn.abs_sq` (re*re + im*im) in the fixed depth-first block
-    order, and the root is the correctly rounded ``np.sqrt``, so the result
-    does not depend on the SIMD target or the BLAS.
+    :func:`gridfn.abs_sq` (v*v, or re*re + im*im) in the fixed depth-first
+    block order, and the root is the correctly rounded ``np.sqrt``, so the
+    result does not depend on the SIMD target or the BLAS.
     """
     assignment = mrand.banks_for(banks, f.dim)
     mra1d._check_level(max_level, f.depth)
@@ -333,12 +333,12 @@ def standard_corpus(dim, depth, seed, banks=None, block_level=None):
     for i in range(2):
         pieces = 5
         shape = (2 ** depth,) * dim
-        data = np.zeros(shape, dtype=np.complex128)
+        data = np.zeros(shape)
         for _ in range(pieces):
             lo = [rng.integers(0, 2 ** depth - 1) for _ in range(dim)]
             hi = [int(rng.integers(l + 1, 2 ** depth + 1)) for l in lo]
             sel = tuple(slice(l, h) for l, h in zip(lo, hi))
-            data[sel] += complex(rng.standard_normal())
+            data[sel] += rng.standard_normal()
         out.append((f"step-{i}",
                     GridFunction(data, depth, (0,) * dim, meta=f"step-{i}")))
 

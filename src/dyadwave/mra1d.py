@@ -50,7 +50,7 @@ class LevelCoefficients:
     filter_id: str
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.complex128)
+        arr = np.ascontiguousarray(self.values)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -58,7 +58,7 @@ class LevelCoefficients:
         return self.shift_first + np.arange(len(self.values))
 
     def as_dict(self):
-        return {int(n): complex(v) for n, v in zip(self.shifts(), self.values)}
+        return dict(zip(self.shifts().tolist(), self.values.tolist()))
 
     def to_csv(self, path):
         """Rows (level, shift, re, im)."""
@@ -99,7 +99,8 @@ def _gather(rows, first, count, stride, taps):
     Entries outside the rows count as zero.  The windows are a strided
     view contracted by ``np.einsum`` (numpy's own loop in a fixed order).
     ``@`` would hand non-overlapping windows, e.g. Haar's, to BLAS, whose
-    last bits depend on the BLAS kernel.
+    last bits depend on the BLAS kernel.  The loop is complex even for real
+    rows: it adds the taps in sequence, numpy's float64 loop does not.
     """
     pad_l = max(0, -first)
     pad_r = max(0, first + (count - 1) * stride + taps.size - rows.shape[1])
@@ -109,7 +110,8 @@ def _gather(rows, first, count, stride, taps):
     view = as_strided(rows[:, first + pad_l:],
                       shape=(len(rows), count, taps.size),
                       strides=(s0, stride * s1, s1))
-    return np.einsum("ijk,k->ij", view, taps.astype(np.complex128))
+    out = np.einsum("ijk,k->ij", view, taps.astype(np.complex128))
+    return out if np.iscomplexobj(rows) else np.ascontiguousarray(out.real)
 
 
 def _scatter(coeffs, taps, stride):
@@ -122,10 +124,9 @@ def _scatter(coeffs, taps, stride):
     """
     rows, count = coeffs.shape
     out = np.zeros((rows, (count - 1) * stride + taps.size),
-                   dtype=np.complex128)
-    taps = taps.astype(np.complex128)
+                   dtype=np.result_type(coeffs, taps))
     by_shift = count <= taps.size
-    tile = max(1, SCATTER_TILE_BYTES // (16 * max(count, taps.size)))
+    tile = max(1, SCATTER_TILE_BYTES // (out.itemsize * max(count, taps.size)))
     for r0 in range(0, rows, tile):
         c, o = coeffs[r0:r0 + tile], out[r0:r0 + tile]
         if by_shift:

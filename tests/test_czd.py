@@ -191,7 +191,7 @@ def oracle_decompose(f, alpha):
     for cube in cubes:
         lo, hi = cube.grid_range(depth)
         g_lo, g_hi = min(g_lo, lo), max(g_hi, hi)
-    g_data = np.zeros(g_hi - g_lo, dtype=np.complex128)
+    g_data = np.zeros(g_hi - g_lo, dtype=data.dtype)
     g_data[origin - g_lo:origin - g_lo + size] = data
     bad_parts = []
     for cube, avg in zip(cubes, averages):

@@ -29,6 +29,29 @@ def test_nan_rejected():
         gf.GridFunction(data, 8, (0,))
 
 
+@pytest.mark.parametrize("values, dtype", [
+    (np.array([True, False]), np.float64),
+    (np.array([3, -1]), np.float64),
+    (np.array([0.5, -1.25], dtype=np.float32), np.float64),
+    (np.array([0.5, -1.25]), np.float64),
+    (np.array([0.5 + 2j, -1.25], dtype=np.complex64), np.complex128),
+], ids=["bool", "int", "float32", "float64", "complex64"])
+def test_dtype_rule(values, dtype):
+    # complex input stays complex128, anything else becomes float64
+    f = gf.GridFunction(values, 8, (0,))
+    assert f.data.dtype == dtype
+    assert np.array_equal(f.data, values)
+
+
+@pytest.mark.parametrize("data", [
+    np.array([1.0, np.nan]), np.array([np.inf, 1.0], dtype=np.float32),
+    np.array([1.0, complex(1.0, np.nan)]), np.array([complex(-np.inf, 0.0)])],
+    ids=["float-nan", "float32-inf", "complex-nan", "complex-inf"])
+def test_nonfinite_rejected_real_and_complex(data):
+    with pytest.raises(ValueError, match="NaN"):
+        gf.GridFunction(data, 8, (0,))
+
+
 def test_immutability(rng):
     f = random_gridfn(rng, (16,), 8)
     with pytest.raises(ValueError):
@@ -135,6 +158,18 @@ def test_combine_matches_embedded_ufunc(rng, f_box, g_box):
         assert got.origin == tuple(lo for lo, _ in box)
         assert got.data.tobytes() == want.tobytes()
     assert not f.data.flags.writeable and not g.data.flags.writeable
+
+
+def test_combine_mixed_dtypes(rng):
+    # real with complex is complex, in either order; real with real is real
+    x = gf.GridFunction(rng.standard_normal(8), 6, (2,))
+    z = random_gridfn(rng, (6,), 6, (0,))
+    box = gf.union_box(x.box(), z.box())
+    for f, g in ((x, z), (z, x)):
+        got = f - g
+        assert got.data.dtype == np.complex128
+        assert np.array_equal(got.data, gf.embed(f, box) - gf.embed(g, box))
+    assert (x + x).data.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------

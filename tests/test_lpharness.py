@@ -321,3 +321,53 @@ def test_writers(tmp_path, haar):
     lp.write_ratio_svg(records, tmp_path / "ratios.svg")
     svg = (tmp_path / "ratios.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+# ---------------------------------------------------------------------------
+# real data
+
+
+@pytest.mark.parametrize("bank_name",
+                         ["haar", "db2", "db3", "db4", "spline24"])
+@pytest.mark.parametrize("shape, depth, origin, levels", [
+    ((300,), 9, (-7,), (2,)), ((40, 24), 7, (3, -5), (2, 1))],
+    ids=["1d", "2d"])
+def test_real_input_gives_real_part_of_complex(registry, rng, bank_name, shape,
+                                               depth, origin, levels):
+    # x and x + 0j run the same operators; the real run is float64 and
+    # carries exactly the real parts of the complex run
+    bank = registry[bank_name]
+    x = rng.standard_normal(shape)
+    pattern = lp.SignPattern.random(len(shape), max(levels), rng)
+
+    def results(f):
+        return [mrand.project_nd(f, levels, bank),
+                mrand.mixed_detail(f, levels, bank),
+                mrand.mixed_detail(f, levels, bank, form="alternating"),
+                lp.square_function(f, max(levels), bank),
+                lp.sign_operator(f, pattern, bank)]
+
+    for real, cplx in zip(results(gf.GridFunction(x, depth, origin)),
+                          results(gf.GridFunction(x + 0j, depth, origin))):
+        assert real.data.dtype == np.float64 and real.origin == cplx.origin
+        assert real.data.tobytes() == np.ascontiguousarray(
+            cplx.data.real).tobytes()
+        assert not cplx.data.imag.any()
+
+
+def test_real_sweep_members_stay_real(db4, monkeypatch):
+    # every grid function a sweep of real members builds is float64
+    corpus = lp.standard_corpus(1, 10, 7) + lp.standard_corpus(2, 6, 7)
+    made = []
+    post_init = gf.GridFunction.__post_init__
+
+    def record(self):
+        post_init(self)
+        made.append(self.data.dtype)
+
+    monkeypatch.setattr(gf.GridFunction, "__post_init__", record)
+    for dim in (1, 2):
+        members = [m for m in corpus if m[1].dim == dim]
+        assert all(f.data.dtype == np.float64 for _, f in members)
+        lp.lp_sweep(members, [1.5, 2, 4], db4, 2, trials=2, seed=7)
+    assert len(made) > 100 and set(made) == {np.dtype(np.float64)}

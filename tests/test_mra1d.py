@@ -256,13 +256,16 @@ def test_uniform_boundedness(db4, rng):
 @pytest.mark.parametrize("count, ntaps, stride", [
     (40, 7, 2), (40, 24, 4), (5, 48, 16), (300, 48, 16)])
 def test_scatter_adds_in_shift_order(rng, monkeypatch, count, ntaps, stride):
-    # oracle: the plain loop over shifts, compared bit for bit; small row
-    # tiles exercise the tiling
-    monkeypatch.setattr(mra1d, "SCATTER_TILE_BYTES", 2000)
+    # oracle: the plain loop over shifts, compared bit for bit, on complex
+    # and on real coefficients; small row tiles exercise the tiling for
+    # either item size
+    monkeypatch.setattr(mra1d, "SCATTER_TILE_BYTES", 1000)
     c = rng.standard_normal((5, count)) + 1j * rng.standard_normal((5, count))
     taps = rng.standard_normal(ntaps)
-    t = taps.astype(complex)
-    want = np.zeros((5, (count - 1) * stride + ntaps), dtype=complex)
-    for j in range(count):
-        want[:, j * stride:j * stride + ntaps] += c[:, j:j + 1] * t
-    assert np.array_equal(mra1d._scatter(c, taps, stride), want)
+    for coeffs in (c, c.real.copy()):
+        t = taps.astype(coeffs.dtype)
+        want = np.zeros((5, (count - 1) * stride + ntaps), dtype=coeffs.dtype)
+        for j in range(count):
+            want[:, j * stride:j * stride + ntaps] += coeffs[:, j:j + 1] * t
+        got = mra1d._scatter(coeffs, taps, stride)
+        assert got.dtype == coeffs.dtype and np.array_equal(got, want)

@@ -210,14 +210,14 @@ def _misaligned(a):
     """Copy of a whose data starts 8 bytes past a 64-byte boundary."""
     buf = np.empty(a.nbytes + 64, dtype=np.uint8)
     start = (8 - buf.ctypes.data) % 64
-    out = buf[start:start + a.nbytes].view(np.complex128).reshape(a.shape)
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
     out[...] = a
     return out
 
 
 def _strided(a):
     """View of a with every other element of its last axis skipped over."""
-    big = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), dtype=np.complex128)
+    big = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
     big[..., 1::2] = a
     return big[..., 1::2]
 
@@ -234,6 +234,10 @@ def test_golden_bytes_from_moved_inputs(registry, layout, jobs, tmp_path):
                       block_level=cfg["level"])]
         if layout is _misaligned:
             assert all(g.data.ctypes.data % 64 == 8 for _, g in corpus)
+        # only the synthesized members are complex; the rest stay real
+        assert [g.data.dtype for _, g in corpus] == [
+            np.complex128 if fid.startswith("block-") else np.float64
+            for fid, _ in corpus]
         records, _ = lp.lp_sweep(corpus, SWEEP_PS, bank, cfg["level"],
                                  trials=3, seed=CORPUS_SEED, jobs=jobs)
         lp.write_ratio_csv(records, tmp_path / f"ratios-{tag}.csv")
