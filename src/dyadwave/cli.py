@@ -472,7 +472,7 @@ def main(argv=None):
         if args.config:
             config = parse_config(args.config)
         return args.func(args, config)
-    except (DyadwaveError, OSError, KeyError, ValueError) as exc:
+    except (DyadwaveError, OSError, KeyError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import mra1d, mrand
 from .errors import BreakpointHit, NonProductPattern, TooManyTerms
-from .gridfn import GridFunction, abs_sq, lp_norm, lp_norms, sample
+from .gridfn import GridFunction, _slot, abs_sq, lp_norm, lp_norms, sample
 
 
 # ---------------------------------------------------------------------------
@@ -105,22 +105,21 @@ def square_function(f, max_level, banks, cache=None):
     """Pointwise l2 aggregation of the detail blocks with levels <= max_level.
 
     Returns a nonnegative real-valued grid function; monotone in max_level
-    pointwise since blocks only accumulate.  Each block adds its |.|^2 from
-    :func:`gridfn.abs_sq` (v*v, or re*re + im*im) in the fixed depth-first
-    block order, and the root is the correctly rounded ``np.sqrt``, so the
-    result does not depend on the SIMD target or the BLAS.
+    pointwise since blocks only accumulate.  The blocks come from
+    :func:`mrand.tensor_sums`, with plain arrays between axes.  Each adds
+    its |.|^2 from :func:`gridfn.abs_sq` (v*v, or re*re + im*im) in the
+    fixed depth-first block order, and the root is the correctly rounded
+    ``np.sqrt``, so the result does not depend on the SIMD target or the BLAS.
     """
-    assignment = mrand.banks_for(banks, f.dim)
     mra1d._check_level(max_level, f.depth)
-    blocks = mrand.detail_blocks(f, (max_level,) * f.dim, assignment, cache)
+    weights = [mrand.detail_weights(k) for k in range(max_level + 1)]
+    blocks = mrand.tensor_sums(f, [weights] * f.dim, banks, cache)
     # the first block, of level 0 on every axis, spans every later block
-    _, first = next(blocks)
-    origin, acc = first.origin, abs_sq(first.data)
+    first = next(blocks)
+    origin, box, acc = first.origin, first.box(), abs_sq(first.data)
     del first
-    for _, block in blocks:
-        sel = tuple(slice(o - lo, o - lo + n)
-                    for o, lo, n in zip(block.origin, origin, block.shape))
-        acc[sel] += abs_sq(block.data)
+    for block in blocks:
+        acc[_slot(block, box)] += abs_sq(block.data)
     return GridFunction(np.sqrt(acc), f.depth, origin,
                         meta=f"square_function[K={max_level}]")
 
@@ -267,15 +266,15 @@ def khintchine_check(a, p, exact_limit=16, mc_trials=200_000, seed=0):
 def synthesize_nd(coeffs, shift_firsts, levels, banks, depth, cache=None):
     """Tensor synthesis of a dense coefficient array at a level vector.
 
-    One axis at a time; meanwhile g holds coefficients, from their first
-    shifts, along the axes still to do.
+    One axis at a time; between axes a plain array holds coefficients,
+    from their first shifts, along the axes still to do.
     """
-    g = GridFunction(coeffs, depth, shift_firsts, meta="synthesize_nd")
-    for axis, bank in enumerate(mrand.banks_for(banks, g.dim)):
-        rows, first = mrand.axis_rows(g, axis)
-        g = mrand.from_axis_rows(*mra1d.synthesize_rows(
-            rows, first, levels[axis], bank, depth, cache), g, axis)
-    return g
+    data, origin = np.asarray(coeffs), tuple(shift_firsts)
+    for axis, bank in enumerate(mrand.banks_for(banks, data.ndim)):
+        rows, back = mrand.axis_layout(data, origin, axis)
+        data, origin = back(*mra1d.synthesize_rows(
+            rows, origin[axis], levels[axis], bank, depth, cache))
+    return GridFunction(data, depth, origin, meta="synthesize_nd")
 
 
 def libm_map(fn, x):

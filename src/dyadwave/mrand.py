@@ -2,13 +2,13 @@
 
 A 1-D operator T acts along axis j of a d-dimensional grid function by
 transforming every 1-D slice in that direction.  Lifted operators along
-different axes commute, so the tensor projector at a level vector k is the
-ordered product of the per-axis liftings (applied j = 0..d-1 for
-determinism), and the mixed difference factorizes into per-axis details --
-equivalently it is the alternating sum of tensor projectors over the binary
-patterns supported where k is positive.  Both forms are implemented; their
-agreement is a primary test, not an assumption.  Each 1-D operator is a
-weighted sum of level projections, :class:`LevelSum`.
+different axes commute, so a tensor operator is one pass per axis, j =
+0..d-1 in turn for determinism, with plain arrays between axes
+(:func:`tensor_sums`).  At a level vector k the mixed difference factorizes
+into per-axis details -- equivalently it is the alternating sum of tensor
+projectors over the binary patterns supported where k is positive.  Both
+forms are implemented; their agreement is a primary test, not an
+assumption.  Each 1-D operator is a weighted sum of level projections.
 """
 
 from __future__ import annotations
@@ -63,21 +63,21 @@ def detail_weights(level):
     return (0.0,) * (level - 1) + (-1.0, 1.0) if level else (1.0,)
 
 
-def axis_rows(f, axis):
-    """The 1-D slices of f along `axis` as one stack of rows, and their origin."""
-    if not 0 <= axis < f.dim:
-        raise AxisOutOfRange(f"axis {axis} for dimension {f.dim}")
-    moved = np.moveaxis(f.data, axis, -1)
-    return (np.ascontiguousarray(moved.reshape(-1, moved.shape[-1])),
-            f.origin[axis])
+def axis_layout(data, origin, axis):
+    """Contiguous rows of the 1-D slices of `data` along `axis`, and back.
 
+    back(rows, first) gives output rows from cell `first` as (view, origin).
+    """
+    if not 0 <= axis < data.ndim:
+        raise AxisOutOfRange(f"axis {axis} for dimension {data.ndim}")
+    moved = np.moveaxis(data, axis, -1)
+    lead = moved.shape[:-1]
 
-def from_axis_rows(rows, origin, f, axis):
-    """f with its slices along `axis` replaced by rows that start at origin."""
-    lead = f.shape[:axis] + f.shape[axis + 1:]
-    data = np.moveaxis(rows.reshape(lead + (rows.shape[1],)), -1, axis)
-    origins = f.origin[:axis] + (origin,) + f.origin[axis + 1:]
-    return GridFunction(data, f.depth, origins, f.meta)
+    def back(rows, first):
+        return (np.moveaxis(rows.reshape(lead + (rows.shape[1],)), -1, axis),
+                origin[:axis] + (first,) + origin[axis + 1:])
+
+    return np.ascontiguousarray(moved.reshape(-1, moved.shape[-1])), back
 
 
 def apply_axis(base, f, axis):
@@ -87,8 +87,9 @@ def apply_axis(base, f, axis):
     slices in that direction at once, as an array of rows sharing one
     origin, and returns the output rows with their common new origin.
     """
-    rows, origin = axis_rows(f, axis)
-    return from_axis_rows(*base.apply_rows(rows, origin, f.depth), f, axis)
+    rows, back = axis_layout(f.data, f.origin, axis)
+    data, origin = back(*base.apply_rows(rows, f.origin[axis], f.depth))
+    return GridFunction(data, f.depth, origin, f.meta)
 
 
 def _levels_tuple(levels, dim):
@@ -102,12 +103,35 @@ def _levels_tuple(levels, dim):
     return levels
 
 
+def _axis_sums(f, data, origin, axis, weights, banks, cache):
+    if axis == f.dim:
+        yield GridFunction(data, f.depth, origin, f.meta)
+        return
+    rows, back = axis_layout(data, origin, axis)
+    sums = mra1d.level_sums(rows, origin[axis], f.depth, weights[axis],
+                            banks[axis], cache)
+    del data, rows
+    for left in range(len(weights[axis]), 0, -1):
+        out = next(sums)
+        if left == 1:
+            sums.close()  # frees the rows and the pyramid before the descent
+        nested = _axis_sums(f, *back(*out), axis + 1, weights, banks, cache)
+        del out  # nested lays out its rows, then drops this output
+        yield from nested
+
+
+def tensor_sums(f, weight_lists, banks, cache=None):
+    """Products over axes a of sum_k w[k] E_k, one per w in weight_lists[a],
+    depth first, one pyramid per axis and frame (:func:`mra1d.level_sums`);
+    frames between axes are plain arrays, each product one GridFunction.
+    """
+    return _axis_sums(f, f.data, f.origin, 0, weight_lists,
+                      banks_for(banks, f.dim), cache)
+
+
 def tensor_level_sum(f, weights, banks, cache=None):
     """Product over axes a of the 1-D sums sum_k weights[a][k] E_k."""
-    out = f
-    for axis, bank in enumerate(banks_for(banks, f.dim)):
-        out = apply_axis(LevelSum(bank, weights[axis], cache), out, axis)
-    return out
+    return next(tensor_sums(f, [[w] for w in weights], banks, cache))
 
 
 def project_nd(f, levels, banks, cache=None):
@@ -124,17 +148,16 @@ def mixed_detail(f, levels, banks, form="factorized", cache=None):
     binary patterns supported inside the positive coordinates of `levels`.
     """
     levels = _levels_tuple(levels, f.dim)
-    assignment = banks_for(banks, f.dim)
     if form == "factorized":
         return tensor_level_sum(f, [detail_weights(k) for k in levels],
-                                assignment, cache)
+                                banks, cache)
     if form == "alternating":
         total = None
         for eps in sign_patterns(f.dim):
             if not pattern_within(eps, levels):
                 continue
             shifted = tuple(k - e for k, e in zip(levels, eps))
-            term = project_nd(f, shifted, assignment, cache)
+            term = project_nd(f, shifted, banks, cache)
             if pattern_parity(eps) < 0:
                 term = -term
             total = term if total is None else total + term
@@ -142,33 +165,11 @@ def mixed_detail(f, levels, banks, form="factorized", cache=None):
     raise ValueError(f"unknown form {form!r}")
 
 
-def detail_blocks(f, bound, assignment, cache=None):
-    """Depth-first mixed-detail blocks over the level box cut at `bound`.
-
-    Along each axis all blocks come from one coefficient pyramid of the
-    input (:func:`mra1d.level_sums`), so only the bound's tables are read.
-    """
-
-    def rec(g, axis, levels):
-        if axis == f.dim:
-            yield levels, g
-            return
-        weights = [detail_weights(k) for k in range(bound[axis] + 1)]
-        blocks = mra1d.level_sums(*axis_rows(g, axis), g.depth, weights,
-                                  assignment[axis], cache)
-        for k, (rows, origin) in enumerate(blocks):
-            yield from rec(from_axis_rows(rows, origin, g, axis), axis + 1,
-                           levels + (k,))
-
-    yield from rec(f, 0, ())
-
-
 def partial_sum(f, bound, banks, cache=None):
     """Sum of mixed details over the level box cut at `bound`."""
     bound = _levels_tuple(bound, f.dim)
-    assignment = banks_for(banks, f.dim)
     total = None
     for levels in box_range(bound):
-        term = mixed_detail(f, levels, assignment, cache=cache)
+        term = mixed_detail(f, levels, banks, cache=cache)
         total = term if total is None else total + term
     return total

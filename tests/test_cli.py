@@ -151,6 +151,17 @@ def test_lp_sweep_bad_p_list(tmp_path, capsys):
     assert "p values" in capsys.readouterr().err
 
 
+def test_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 333. MiB")
+
+    monkeypatch.setattr(cli.lpharness, "lp_sweep", exhausted)
+    rc = run(["lp-sweep", "--banks", "haar", "--depth", "9", "--max-level",
+              "3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("banks: haar\ndim: 1\ndepth: 9\nmax_level: 3\n"

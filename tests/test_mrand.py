@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -337,3 +340,121 @@ def test_operators_read_one_table_depth(registry, rng, bank_name, shape,
         cache = _DepthRecorder()
         run(cache)
         assert cache.depths == {depth - top + 1}
+
+
+# ---------------------------------------------------------------------------
+# one tensor pass: plain arrays between axes
+
+
+@pytest.mark.parametrize("bank_name",
+                         ["haar", "db2", "db3", "db4", "spline24"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("shape, depth, origin", [
+    ((12, 2 ** 6 + 5), 6, (-3, 7)),
+    ((6, 2 ** 5 + 3, 9), 5, (5, -1, 3)),
+], ids=["2d", "3d"])
+def test_tensor_level_sum_is_composed_apply_axis(registry, rng, bank_name,
+                                                 kind, shape, depth, origin):
+    # oracle: the per-axis liftings, each ending in a GridFunction
+    bank = registry[bank_name]
+    top = depth - mra1d.LEVEL_HEADROOM
+    f = noise(rng, shape, depth, origin)
+    if kind == "real":
+        f = gf.GridFunction(f.data.real, depth, origin)
+    cases = [[(0.0,) * top + (1.0,)] * len(shape),
+             [mrand.detail_weights(top - a % 2) for a in range(len(shape))],
+             [tuple(rng.standard_normal(top + 1)) for _ in shape]]
+    for weights in cases:
+        got = mrand.tensor_level_sum(f, weights, bank)
+        want = f
+        for axis, w in enumerate(weights):
+            want = mrand.apply_axis(mrand.LevelSum(bank, w), want, axis)
+        assert got.origin == want.origin
+        assert got.data.dtype == want.data.dtype
+        assert np.array_equal(got.data, want.data), weights
+
+
+def _tensor_operators(bank, rng, dim, depth):
+    top = 1
+    f = noise(rng, (2 ** (depth - 1) + 3,) * dim, depth,
+              (-5,) + (2,) * (dim - 1))
+    pattern = lp.SignPattern.random(dim, top, rng)
+    coeffs = (rng.standard_normal((2 ** top,) * dim)
+              + 1j * rng.standard_normal((2 ** top,) * dim))
+    return {
+        "square_function": lambda: lp.square_function(f, top, bank),
+        "project_nd": lambda: mrand.project_nd(f, top, bank),
+        "mixed_detail": lambda: mrand.mixed_detail(f, top, bank),
+        "mixed_detail-alternating":
+            lambda: mrand.mixed_detail(f, top, bank, form="alternating"),
+        "sign_operator": lambda: lp.sign_operator(f, pattern, bank),
+        "synthesize_nd": lambda: lp.synthesize_nd(
+            coeffs, (0,) * dim, (top,) * dim, bank, depth),
+        "partial_sum": lambda: mrand.partial_sum(f, top, bank),
+    }
+
+
+@pytest.mark.parametrize("dim, depth", [(2, 6), (3, 5)], ids=["2d", "3d"])
+def test_tensor_operators_leave_no_cyclic_garbage(db2, rng, dim, depth):
+    for name, run in _tensor_operators(db2, rng, dim, depth).items():
+        run()  # tables and caches filled outside the measured run
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
+
+
+def test_one_grid_function_per_result(db2, rng, monkeypatch):
+    top, dim = 1, 2
+    operators = _tensor_operators(db2, rng, dim, 6)
+    made = []
+    post_init = gf.GridFunction.__post_init__
+
+    def record(self):
+        post_init(self)
+        made.append(self.shape)
+
+    monkeypatch.setattr(gf.GridFunction, "__post_init__", record)
+    for name, count in [("project_nd", 1), ("mixed_detail", 1),
+                        ("sign_operator", 1), ("synthesize_nd", 1),
+                        ("square_function", (top + 1) ** dim + 1)]:
+        made.clear()
+        operators[name]()
+        assert len(made) == count, name
+
+
+@pytest.mark.parametrize("shape", [(40, 36), (12, 20, 18)], ids=["2d", "3d"])
+def test_tensor_pass_frees_each_frame(db2, rng, monkeypatch, shape):
+    # when the product is built, only its own output rows are alive: every
+    # layout (whose release also frees that axis's pyramid) and every
+    # earlier output is gone
+    f = noise(rng, shape, 6, (3,) + (-2,) * (len(shape) - 1))
+    arrays, alive = [], []
+    layout, level_sums = mrand.axis_layout, mra1d.level_sums
+    post_init = gf.GridFunction.__post_init__
+
+    def traced_layout(*args):
+        rows, back = layout(*args)
+        arrays.append(weakref.ref(rows))
+        return rows, back
+
+    def record(out):
+        arrays.append(weakref.ref(out[0]))
+        return out
+
+    def traced_sums(*args):
+        yield from map(record, level_sums(*args))
+
+    def count(self):
+        post_init(self)
+        alive.append(sum(r() is not None for r in arrays))
+
+    monkeypatch.setattr(mrand, "axis_layout", traced_layout)
+    monkeypatch.setattr(mra1d, "level_sums", traced_sums)
+    monkeypatch.setattr(gf.GridFunction, "__post_init__", count)
+    mrand.project_nd(f, 1, db2)
+    assert len(arrays) == 2 * len(shape)
+    assert alive == [1]
