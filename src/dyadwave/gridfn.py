@@ -208,47 +208,108 @@ def abs_sq(data):
     return sq[..., 0::2] + sq[..., 1::2] if np.iscomplexobj(data) else sq
 
 
-def _power(s, q):
-    """s**q elementwise for s >= 0, reproducibly.
+# most arrays the size of |f|^2 that the norms of one frame hold at once
+POWER_FRAMES = 4
+
+
+def _expansion(q):
+    """(whole, [i, ...]) with q = whole + sum of 2**-i over the list, for q a
+    multiple of 1/8 and at most 8; None for any other exponent."""
+    if q * 8 != int(q * 8) or q > 8:
+        return None
+    whole, frac = divmod(int(q * 8), 8)
+    return whole, [i for i in (1, 2, 3) if frac & 8 >> i]
+
+
+def _depth(plan):
+    return max(plan[1], default=0) if plan else 0
+
+
+def _power_sums(s, qs):
+    """[np.sum(s**q) for q in qs] for s >= 0, reproducibly.
 
     An exponent that is a multiple of 1/8 and at most 8 is evaluated from
     correctly rounded ``*`` and ``sqrt`` along its binary expansion, so
-    the bits do not depend on the SIMD target (numpy's ``power`` does).
-    Any other exponent goes through libm ``pow`` via ``np.float_power``.
+    the bits do not depend on the SIMD target (numpy's ``power`` does):
+    s**whole, then times s**(1/2), s**(1/4) and s**(1/8) in that order
+    where the expansion has a bit.  Any other exponent goes through libm
+    ``pow`` via ``np.float_power``.
+
+    The exponents run shallow roots first and share the roots: a root is
+    kept for the exponents that read it later and dropped after the last,
+    and a product is formed in place once it owns its array.  At most
+    POWER_FRAMES arrays the size of s are alive at once, s included, the
+    most one exponent evaluated alone holds: a shared root that would
+    exceed that is dropped and taken again.
     """
-    if q * 8 != int(q * 8) or q > 8:
-        return np.float_power(s, q)
-    whole, frac = divmod(int(q * 8), 8)
-    out = None
-    for _ in range(whole):
-        out = s if out is None else out * s
-    root = s
-    for bit in (4, 2, 1):
-        if not frac:
-            break
-        root = np.sqrt(root)
-        if frac & bit:
-            out = root if out is None else out * root
-            frac -= bit
-    return out
+    plans = [_expansion(q) for q in qs]
+    order = sorted(range(len(qs)), key=lambda i: _depth(plans[i]))
+    roots, sums = {0: s}, [None] * len(qs)
+    for n, i in enumerate(order):
+        if plans[i] is None:
+            sums[i] = np.sum(np.float_power(s, qs[i]))
+            continue
+        later = {k for j in order[n + 1:] if plans[j] for k in plans[j][1]}
+        factors = [0] * plans[i][0] + plans[i][1]
+        out = None
+        for step, k in enumerate(factors):
+            while k not in roots:
+                top = max(j for j in roots if j < k)
+                _make_room(roots, out, keep=top)
+                roots[top + 1] = np.sqrt(roots[top])
+                _drop_unread(roots, later | set(factors[step:]))
+            if out is None:
+                out = roots[k]
+            elif any(out is r for r in roots.values()):
+                _make_room(roots, out, keep=k)
+                out = out * roots[k]
+            else:
+                out *= roots[k]
+            _drop_unread(roots, later | set(factors[step + 1:]))
+        sums[i] = np.sum(out)
+        del out
+        _drop_unread(roots, later)
+    return sums
+
+
+def _make_room(roots, out, keep):
+    """Drop roots, deepest first, but s, roots[keep] and `out`, until one
+    more array fits; a dropped root is taken again when read."""
+    for k in sorted(roots, reverse=True):
+        held = len(roots) + (out is not None and
+                             all(out is not r for r in roots.values()))
+        if held < POWER_FRAMES:
+            return
+        if k and k != keep and roots[k] is not out:
+            del roots[k]
+
+
+def _drop_unread(roots, needed):
+    """Drop each root s**(2**-k), k >= 1, outside `needed`, but the deepest
+    one below each missing index of `needed`: that one is taken from it."""
+    sources = {max(j for j in roots if j < m) for m in needed
+               if m not in roots}
+    for k in [k for k in roots if k and k not in needed | sources]:
+        del roots[k]
 
 
 def lp_norms(f, ps):
-    """[lp_norm(f, p) for p in ps], f real or complex, sharing one |f|^2 pass.
+    """[lp_norm(f, p) for p in ps], f real or complex, sharing one |f|^2 pass
+    and its square roots.
 
     Each norm is (sum |f|^p * cellvolume)^(1/p) with |f|^p = (|f|^2)^(p/2)
-    from :func:`abs_sq` and :func:`_power`, and the sum is numpy's pairwise
-    sum over the contiguous array.  None of these depends on the SIMD
-    target, the BLAS, or the alignment of the data.  Moduli outside about
-    1e-154..1e154 under- or overflow in |f|^2.
+    from :func:`abs_sq` and :func:`_power_sums`, and the sum is numpy's
+    pairwise sum over the contiguous array.  None of these depends on the
+    SIMD target, the BLAS, or the alignment of the data.  Moduli outside
+    about 1e-154..1e154 under- or overflow in |f|^2.
     """
     for p in ps:
         if not np.isreal(p) or not np.isfinite(p) or p <= 1:
             raise BadExponent(f"exponent must be finite and > 1, got {p!r}")
     ps = [float(p) for p in ps]
-    s = abs_sq(f.data)
-    return [float(np.sum(_power(s, p / 2)) * f.cell_volume) ** (1.0 / p)
-            for p in ps]
+    sums = _power_sums(abs_sq(f.data), [p / 2 for p in ps])
+    return [float(total * f.cell_volume) ** (1.0 / p)
+            for total, p in zip(sums, ps)]
 
 
 def lp_norm(f, p):

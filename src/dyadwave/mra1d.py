@@ -33,6 +33,8 @@ from .gridfn import GridFunction
 LEVEL_HEADROOM = 4
 # bound on one temporary of the synthesis loop
 SCATTER_TILE_BYTES = 1 << 18
+# elements in one of the buffers through which einsum casts its operands
+EINSUM_BUFFER = 8192
 
 
 @dataclass(frozen=True)
@@ -96,21 +98,35 @@ def _shift_window(origin_units, size, gap, dual_support):
 def _gather(rows, first, count, stride, taps):
     """out[:, j] = sum_t rows[:, first + j * stride + t] * taps[t], j < count.
 
-    Entries outside the rows count as zero.  The windows are a strided
-    view contracted by ``np.einsum`` (numpy's own loop in a fixed order).
-    ``@`` would hand non-overlapping windows, e.g. Haar's, to BLAS, whose
-    last bits depend on the BLAS kernel.  The loop is complex even for real
-    rows: it adds the taps in sequence, numpy's float64 loop does not.
+    Entries outside the rows count as zero.  ``np.einsum`` contracts (numpy's
+    own loop in a fixed order); ``@`` would hand non-overlapping windows,
+    e.g. Haar's, to BLAS, whose last bits depend on the BLAS kernel.  The
+    loop is complex even for real rows: it adds the taps in sequence,
+    numpy's float64 loop does not.  A row shorter than the window is
+    contracted whole against a (count, n) matrix of the taps, zero outside
+    each window; otherwise the windows are a strided view of the rows, zero
+    padded where they overhang.  Either way each output adds its taps in
+    sequence, so both give the same bits -- for complex rows, and for real
+    rows whose window fits einsum's cast buffer (EINSUM_BUFFER elements).
+    Real rows with a longer window keep the window path: there einsum adds
+    the window in buffer-sized parts.
     """
-    pad_l = max(0, -first)
-    pad_r = max(0, first + (count - 1) * stride + taps.size - rows.shape[1])
-    if pad_l or pad_r:
-        rows = np.pad(rows, ((0, 0), (pad_l, pad_r)))
-    s0, s1 = rows.strides
-    view = as_strided(rows[:, first + pad_l:],
-                      shape=(len(rows), count, taps.size),
-                      strides=(s0, stride * s1, s1))
-    out = np.einsum("ijk,k->ij", view, taps.astype(np.complex128))
+    n = rows.shape[1]
+    if n < taps.size and (np.iscomplexobj(rows) or taps.size <= EINSUM_BUFFER):
+        k = np.arange(n) - first - stride * np.arange(count)[:, None]
+        inside = (k >= 0) & (k < taps.size)
+        tap_matrix = np.where(inside, taps.astype(np.complex128)[k * inside], 0)
+        out = np.einsum("ix,jx->ij", rows, tap_matrix)
+    else:
+        pad_l = max(0, -first)
+        pad_r = max(0, first + (count - 1) * stride + taps.size - n)
+        if pad_l or pad_r:
+            rows = np.pad(rows, ((0, 0), (pad_l, pad_r)))
+        s0, s1 = rows.strides
+        view = as_strided(rows[:, first + pad_l:],
+                          shape=(len(rows), count, taps.size),
+                          strides=(s0, stride * s1, s1))
+        out = np.einsum("ijk,k->ij", view, taps.astype(np.complex128))
     return out if np.iscomplexobj(rows) else np.ascontiguousarray(out.real)
 
 
@@ -188,9 +204,11 @@ def level_sums(rows, origin, depth, weight_vectors, bank, cache=None):
     _check_level(top, depth)
     dual, primal = bank.dual, bank.primal
     pyramid = [analyze_rows(rows, origin, depth, top, bank, cache)]
+    n = rows.shape[1]
+    del rows  # read only by the top analysis; the caller may free them
     for level in range(top - 1, bottom - 1, -1):
         coeffs, first = pyramid[0]
-        nu_min, nu_max = _shift_window(origin, rows.shape[1], depth - level,
+        nu_min, nu_max = _shift_window(origin, n, depth - level,
                                        dual.support)
         pyramid.insert(0, (_gather(coeffs, 2 * nu_min + dual.n_first - first,
                                    nu_max - nu_min + 1, 2,

@@ -20,6 +20,9 @@ from .errors import AxisOutOfRange
 from .gridfn import (GridFunction, box_range, pattern_parity, pattern_within,
                      sign_patterns)
 
+# side of the square tiles of a transposing row copy, in elements
+LAYOUT_TILE = 64
+
 
 def banks_for(banks, dim):
     """Normalize a bank argument to a tuple of accepted banks, one per axis."""
@@ -66,6 +69,11 @@ def detail_weights(level):
 def axis_layout(data, origin, axis):
     """Contiguous rows of the 1-D slices of `data` along `axis`, and back.
 
+    Rows already contiguous (the last axis, 1-D data) are a view.  Any
+    other axis is copied in LAYOUT_TILE-square tiles of the last two axes
+    (a cache-aware transpose): at power-of-two row strides, and at any
+    multiple of 2 KiB, a plain transposing copy maps the lines it reads
+    and writes onto a few cache sets, which evict each other.
     back(rows, first) gives output rows from cell `first` as (view, origin).
     """
     if not 0 <= axis < data.ndim:
@@ -77,7 +85,15 @@ def axis_layout(data, origin, axis):
         return (np.moveaxis(rows.reshape(lead + (rows.shape[1],)), -1, axis),
                 origin[:axis] + (first,) + origin[axis + 1:])
 
-    return np.ascontiguousarray(moved.reshape(-1, moved.shape[-1])), back
+    if moved.flags.c_contiguous:
+        return moved.reshape(-1, moved.shape[-1]), back
+    rows = np.empty(moved.shape, moved.dtype)
+    src, dst = np.atleast_2d(moved, rows)
+    for r in range(0, src.shape[-2], LAYOUT_TILE):
+        for c in range(0, src.shape[-1], LAYOUT_TILE):
+            tile = (..., slice(r, r + LAYOUT_TILE), slice(c, c + LAYOUT_TILE))
+            dst[tile] = src[tile]
+    return rows.reshape(-1, rows.shape[-1]), back
 
 
 def apply_axis(base, f, axis):
@@ -114,7 +130,7 @@ def _axis_sums(f, data, origin, axis, weights, banks, cache):
     for left in range(len(weights[axis]), 0, -1):
         out = next(sums)
         if left == 1:
-            sums.close()  # frees the rows and the pyramid before the descent
+            sums.close()  # frees the pyramid before the descent
         nested = _axis_sums(f, *back(*out), axis + 1, weights, banks, cache)
         del out  # nested lays out its rows, then drops this output
         yield from nested

@@ -1,7 +1,12 @@
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dyadwave
 from dyadwave import cli, refinable
 
 
@@ -160,6 +165,38 @@ def test_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
               "3", "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+# every module `import dyadwave.cli` loads beyond `import numpy`; the CLI's
+# set-up time is these imports and the registry, so a new one must be added
+# here on purpose
+CLI_IMPORTS = {
+    "__future__", "_blake2", "_csv", "_hashlib", "_heapq", "_queue",
+    "_string", "argparse", "concurrent", "concurrent.futures",
+    "concurrent.futures._base", "concurrent.futures.thread", "copy", "csv",
+    "dataclasses", "dyadwave", "dyadwave.cli", "dyadwave.czd",
+    "dyadwave.errors", "dyadwave.gridfn", "dyadwave.lpharness",
+    "dyadwave.mra1d", "dyadwave.mrand", "dyadwave.refinable", "gettext",
+    "hashlib", "heapq", "logging", "queue", "string", "traceback"}
+
+_NEW_MODULES = """
+import sys
+import numpy
+before = set(sys.modules)
+import dyadwave.cli
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_footprint():
+    env = dict(os.environ)
+    src = str(Path(dyadwave.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-c", _NEW_MODULES], env=env,
+                         check=True, timeout=120, capture_output=True,
+                         text=True)
+    assert set(run.stdout.split()) - CLI_IMPORTS == set()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,60 @@ def test_lp_norm_matches_power_formula(rng):
     for p, want, got in zip(ps, direct, norms):
         assert abs(got - want) <= 1e-13 * want, p
         assert gf.lp_norm(f, p) == got
+
+
+def _power_oracle(s, q):
+    """s**q by the sqrt/multiply chain, evaluated alone for each exponent."""
+    if q * 8 != int(q * 8) or q > 8:
+        return np.float_power(s, q)
+    whole, frac = divmod(int(q * 8), 8)
+    out = None
+    for _ in range(whole):
+        out = s if out is None else out * s
+    root = s
+    for bit in (4, 2, 1):
+        if not frac:
+            break
+        root = np.sqrt(root)
+        if frac & bit:
+            out = root if out is None else out * root
+            frac -= bit
+    return out
+
+
+# exponents that share roots (1.25 and 1.5 read s^(1/2)), that share none
+# (2, 4, 6), that read all three roots twice (1.75, 3.75), and that go
+# through float_power (1.3, 17)
+SHARED_ROOT_LISTS = [(1.25, 1.5, 2.0, 4.0), (1.5, 2.0, 4.0), (2.0, 4.0, 6.0),
+                     (1.75, 3.75), (1.25, 1.75, 2.75, 3.3), (17.0, 1.25, 1.3),
+                     (2.25, 5.5, 1.5, 2.5, 3.0)]
+
+
+@pytest.mark.parametrize("ps", SHARED_ROOT_LISTS)
+def test_lp_norms_share_roots_bit_for_bit(rng, ps):
+    for f in (random_gridfn(rng, (37, 29), 6),
+              gf.GridFunction(rng.standard_normal((41, 23)), 6, (0, 0))):
+        s = gf.abs_sq(f.data)
+        want = [float(np.sum(_power_oracle(s, p / 2)) * f.cell_volume)
+                ** (1.0 / p) for p in ps]
+        assert gf.lp_norms(f, ps) == want
+        assert [gf.lp_norm(f, p) for p in ps] == want
+
+
+@pytest.mark.parametrize("ps", SHARED_ROOT_LISTS)
+def test_lp_norms_hold_no_more_frames_than_one_exponent(rng, ps):
+    # the shared roots never raise the peak over the worst single exponent
+    f = gf.GridFunction(rng.standard_normal((128, 128)), 7, (0, 0))
+
+    def peak(qs):
+        tracemalloc.start()
+        gf.lp_norms(f, qs)
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    alone = max(peak((p,)) for p in ps)
+    assert peak(ps) <= alone + f.data.nbytes // 16
 
 
 def test_bad_exponents():

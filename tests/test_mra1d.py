@@ -1,5 +1,8 @@
+import weakref
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from dyadwave import gridfn as gf
 from dyadwave import mra1d, refinable
@@ -269,3 +272,83 @@ def test_scatter_adds_in_shift_order(rng, monkeypatch, count, ntaps, stride):
             want[:, j * stride:j * stride + ntaps] += coeffs[:, j:j + 1] * t
         got = mra1d._scatter(coeffs, taps, stride)
         assert got.dtype == coeffs.dtype and np.array_equal(got, want)
+
+
+def _padded_gather(rows, first, count, stride, taps):
+    """Oracle: the windows as a strided view of zero-padded rows."""
+    pad_l = max(0, -first)
+    pad_r = max(0, first + (count - 1) * stride + taps.size - rows.shape[1])
+    padded = np.pad(rows, ((0, 0), (pad_l, pad_r)))
+    s0, s1 = padded.strides
+    view = as_strided(padded[:, first + pad_l:],
+                      shape=(len(rows), count, taps.size),
+                      strides=(s0, stride * s1, s1))
+    out = np.einsum("ijk,k->ij", view, taps.astype(np.complex128))
+    return out if np.iscomplexobj(rows) else out.real
+
+
+def _gather_rows(rng, n):
+    """Real and complex rows with exact (and negative) zeros among them."""
+    real = rng.standard_normal((6, n))
+    real[:, ::3] = 0.0
+    real[0], real[1] = 0.0, -0.0
+    return real, real + 1j * rng.standard_normal((6, n))
+
+
+@pytest.mark.parametrize("bank_name", ["haar", "db2", "db3", "db4",
+                                       "spline24"])
+def test_gather_matches_padded_window(registry, rng, monkeypatch, bank_name):
+    # the analysis taps at two gaps and the down-step mask, rows shorter
+    # and longer than the window, compared bit for bit; the short rows
+    # (the tap-matrix branch) pad nothing
+    dual = registry[bank_name].dual
+    tap_sets = [(mra1d._table(registry[bank_name], "dual", gap, None)
+                 .midpoint_samples(gap), 1 << gap) for gap in (4, 7)]
+    tap_sets.append((dual.array() / refinable.SQRT2, 2))
+    pad = np.pad
+    for taps, stride in tap_sets:
+        for n in sorted({1, taps.size // 2 + 1, taps.size - 1, taps.size,
+                         taps.size + 37}):
+            for first in (-(taps.size - 1), -(taps.size // 2), 0, 1):
+                count = max(1, (n - 1 - first) // stride + 1)
+                for rows in _gather_rows(rng, n):
+                    want = _padded_gather(rows, first, count, stride, taps)
+                    if n < taps.size:
+                        monkeypatch.setattr(np, "pad", None)
+                    got = mra1d._gather(rows, first, count, stride, taps)
+                    monkeypatch.setattr(np, "pad", pad)
+                    assert got.dtype == rows.dtype
+                    assert got.tobytes() == want.tobytes(), (n, first)
+
+
+def test_gather_long_real_window_keeps_window_path(rng):
+    # einsum casts real rows in buffers of EINSUM_BUFFER elements and adds
+    # a longer window in parts, so a tap matrix would change the bits:
+    # such rows stay on the padded window path; complex rows need no cast
+    taps = rng.standard_normal(mra1d.EINSUM_BUFFER + 808)
+    real, cplx = _gather_rows(rng, 5000)
+    differs = False
+    for stride in (512, 1024, 2048):
+        first = -(taps.size - stride)
+        count = (5000 - 1 - first) // stride + 1
+        for rows in (real, cplx):
+            want = _padded_gather(rows, first, count, stride, taps)
+            got = mra1d._gather(rows, first, count, stride, taps)
+            assert got.tobytes() == want.tobytes(), stride
+        k = np.arange(5000) - first - stride * np.arange(count)[:, None]
+        inside = (k >= 0) & (k < taps.size)
+        tap_matrix = np.where(inside, taps[k * inside], 0).astype(complex)
+        by_matrix = np.einsum("ix,jx->ij", real, tap_matrix).real
+        differs |= by_matrix.tobytes() != want.tobytes()
+    assert differs
+
+
+def test_level_sums_releases_input_rows(db4, rng):
+    rows = rng.standard_normal((4, 2 ** 9))
+    alive = weakref.ref(rows)
+    sums = mra1d.level_sums(rows, 0, 9, [(1.0,), (0.0, 1.0), (-1.0, 1.0)],
+                            db4)
+    del rows
+    first = next(sums)
+    assert alive() is None  # only the top analysis reads the rows
+    assert len(list(sums)) == 2 and first[0].shape[0] == 4

@@ -60,6 +60,37 @@ def test_apply_axis_out_of_range(haar, rng):
         mrand.apply_axis(mrand.LevelProjection(haar, 0), f, 2)
 
 
+def _layout_inputs(rng, shape, dtype):
+    """Owned, read-only and strided views of one random array."""
+    x = rng.standard_normal(shape)
+    if dtype == np.complex128:
+        x = x + 1j * rng.standard_normal(shape)
+    frozen = x.copy()
+    frozen.setflags(write=False)
+    wide = np.zeros(tuple(2 * n for n in shape), dtype)
+    wide[tuple(slice(None, None, 2) for _ in shape)] = x
+    return {"owned": x, "read-only": frozen,
+            "strided": wide[tuple(slice(None, None, 2) for _ in shape)]}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("shape", [(70,), (64, 128), (130, 67), (3, 65, 129),
+                                   (17, 5, 64)])
+def test_axis_layout_matches_contiguous_copy(rng, shape, dtype):
+    # tiled copy against numpy's own: every axis, lengths on and off the tile
+    for kind, x in _layout_inputs(rng, shape, dtype).items():
+        for axis in range(x.ndim):
+            rows, back = mrand.axis_layout(x, (3,) * x.ndim, axis)
+            want = np.ascontiguousarray(
+                np.moveaxis(x, axis, -1).reshape(-1, x.shape[axis]))
+            assert rows.flags.c_contiguous, (kind, axis)
+            assert rows.dtype == want.dtype and np.array_equal(rows, want)
+            data, origin = back(rows, 3)
+            assert np.array_equal(data, x) and origin == (3,) * x.ndim
+            if kind == "owned" and axis == x.ndim - 1:
+                assert np.shares_memory(rows, x)  # no copy of the last axis
+
+
 def test_commutation(db2, db3, rng):
     f = noise(rng, (2 ** 8, 2 ** 8), 8)
     a = mrand.apply_axis(mrand.LevelProjection(db2, 1), f, 0)
