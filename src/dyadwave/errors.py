@@ -62,5 +62,9 @@ class DegenerateF(DyadwaveError):
     """Closed set F carries no grid mass inside the truncation window."""
 
 
+class FrameTooLarge(DyadwaveError):
+    """An output frame would take more than its share of physical memory."""
+
+
 class BankRejected(DyadwaveError):
     """Filter bank failed the biorthogonality acceptance gate."""

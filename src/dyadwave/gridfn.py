@@ -201,15 +201,31 @@ def abs_sq(data):
 
     Built from correctly rounded operations only, so the bits do not depend
     on the SIMD loop numpy dispatches (``np.abs`` of a complex array does).
-    A real array gives the bits of the same values stored as complex.
+    A real array gives the bits of the same values stored as complex.  A
+    complex array holds two float64 arrays of its shape at the peak.
     """
     v = np.ascontiguousarray(data).view(np.float64)
-    sq = v * v
-    return sq[..., 0::2] + sq[..., 1::2] if np.iscomplexobj(data) else sq
+    if not np.iscomplexobj(data):
+        return v * v
+    re, im = v[..., 0::2], v[..., 1::2]
+    out = re * re
+    out += im * im
+    return out
 
 
-# most arrays the size of |f|^2 that the norms of one frame hold at once
-POWER_FRAMES = 4
+# cells of one leaf of the norm sums; at least numpy's pairwise block, 128
+SUM_LEAF = 1 << 15
+
+
+def _pairwise(n, leaf, lo=0):
+    """The sums leaf(lo, hi) returns, added over cells lo..lo+n-1 up the
+    tree of numpy's pairwise sum (n halved at n//2 - (n//2) % 8, down to
+    leaves of SUM_LEAF cells or fewer): each has one ``np.sum``'s bits."""
+    if n <= SUM_LEAF:
+        return leaf(lo, lo + n)
+    half = n // 2 - n // 2 % 8
+    return [a + b for a, b in zip(_pairwise(half, leaf, lo),
+                                  _pairwise(n - half, leaf, lo + half))]
 
 
 def _expansion(q):
@@ -221,10 +237,6 @@ def _expansion(q):
     return whole, [i for i in (1, 2, 3) if frac & 8 >> i]
 
 
-def _depth(plan):
-    return max(plan[1], default=0) if plan else 0
-
-
 def _power_sums(s, qs):
     """[np.sum(s**q) for q in qs] for s >= 0, reproducibly.
 
@@ -232,65 +244,26 @@ def _power_sums(s, qs):
     correctly rounded ``*`` and ``sqrt`` along its binary expansion, so
     the bits do not depend on the SIMD target (numpy's ``power`` does):
     s**whole, then times s**(1/2), s**(1/4) and s**(1/8) in that order
-    where the expansion has a bit.  Any other exponent goes through libm
-    ``pow`` via ``np.float_power``.
-
-    The exponents run shallow roots first and share the roots: a root is
-    kept for the exponents that read it later and dropped after the last,
-    and a product is formed in place once it owns its array.  At most
-    POWER_FRAMES arrays the size of s are alive at once, s included, the
-    most one exponent evaluated alone holds: a shared root that would
-    exceed that is dropped and taken again.
+    where the expansion has a bit.  Each root is taken once for all the
+    exponents.  Any other exponent goes through libm ``pow`` via
+    ``np.float_power``.
     """
-    plans = [_expansion(q) for q in qs]
-    order = sorted(range(len(qs)), key=lambda i: _depth(plans[i]))
-    roots, sums = {0: s}, [None] * len(qs)
-    for n, i in enumerate(order):
-        if plans[i] is None:
-            sums[i] = np.sum(np.float_power(s, qs[i]))
+    roots, sums = [s], []
+    for q in qs:
+        plan = _expansion(q)
+        if plan is None:
+            sums.append(np.sum(np.float_power(s, q)))
             continue
-        later = {k for j in order[n + 1:] if plans[j] for k in plans[j][1]}
-        factors = [0] * plans[i][0] + plans[i][1]
-        out = None
-        for step, k in enumerate(factors):
-            while k not in roots:
-                top = max(j for j in roots if j < k)
-                _make_room(roots, out, keep=top)
-                roots[top + 1] = np.sqrt(roots[top])
-                _drop_unread(roots, later | set(factors[step:]))
-            if out is None:
-                out = roots[k]
-            elif any(out is r for r in roots.values()):
-                _make_room(roots, out, keep=k)
-                out = out * roots[k]
-            else:
+        factors = [0] * plan[0] + plan[1]
+        while len(roots) <= max(factors):
+            roots.append(np.sqrt(roots[-1]))
+        out = roots[factors[0]]
+        if len(factors) > 1:
+            out = out * roots[factors[1]]
+            for k in factors[2:]:
                 out *= roots[k]
-            _drop_unread(roots, later | set(factors[step + 1:]))
-        sums[i] = np.sum(out)
-        del out
-        _drop_unread(roots, later)
+        sums.append(np.sum(out))
     return sums
-
-
-def _make_room(roots, out, keep):
-    """Drop roots, deepest first, but s, roots[keep] and `out`, until one
-    more array fits; a dropped root is taken again when read."""
-    for k in sorted(roots, reverse=True):
-        held = len(roots) + (out is not None and
-                             all(out is not r for r in roots.values()))
-        if held < POWER_FRAMES:
-            return
-        if k and k != keep and roots[k] is not out:
-            del roots[k]
-
-
-def _drop_unread(roots, needed):
-    """Drop each root s**(2**-k), k >= 1, outside `needed`, but the deepest
-    one below each missing index of `needed`: that one is taken from it."""
-    sources = {max(j for j in roots if j < m) for m in needed
-               if m not in roots}
-    for k in [k for k in roots if k and k not in needed | sources]:
-        del roots[k]
 
 
 def lp_norms(f, ps):
@@ -298,16 +271,20 @@ def lp_norms(f, ps):
     and its square roots.
 
     Each norm is (sum |f|^p * cellvolume)^(1/p) with |f|^p = (|f|^2)^(p/2)
-    from :func:`abs_sq` and :func:`_power_sums`, and the sum is numpy's
-    pairwise sum over the contiguous array.  None of these depends on the
-    SIMD target, the BLAS, or the alignment of the data.  Moduli outside
-    about 1e-154..1e154 under- or overflow in |f|^2.
+    from :func:`abs_sq` and :func:`_power_sums`, in leaves of at most
+    SUM_LEAF cells split as numpy's pairwise sum splits (:func:`_pairwise`):
+    each sum has the bits of ``np.sum`` over the frame, pinned by
+    ``test_lp_norms_share_roots_bit_for_bit``, and no temporary outgrows a
+    leaf.  None of it depends on the SIMD target, the BLAS, or alignment.
+    Moduli outside about 1e-154..1e154 under- or overflow in |f|^2.
     """
     for p in ps:
         if not np.isreal(p) or not np.isfinite(p) or p <= 1:
             raise BadExponent(f"exponent must be finite and > 1, got {p!r}")
     ps = [float(p) for p in ps]
-    sums = _power_sums(abs_sq(f.data), [p / 2 for p in ps])
+    qs, cells = [p / 2 for p in ps], f.data.reshape(-1)
+    sums = _pairwise(cells.size, lambda lo, hi: _power_sums(
+        abs_sq(cells[lo:hi]), qs))
     return [float(total * f.cell_volume) ** (1.0 / p)
             for total, p in zip(sums, ps)]
 

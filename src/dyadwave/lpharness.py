@@ -24,7 +24,8 @@ import numpy as np
 
 from . import mra1d, mrand
 from .errors import BreakpointHit, NonProductPattern, TooManyTerms
-from .gridfn import GridFunction, _slot, abs_sq, lp_norm, lp_norms, sample
+from .gridfn import (SUM_LEAF, GridFunction, _slot, abs_sq, lp_norm, lp_norms,
+                     sample)
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +109,24 @@ def square_function(f, max_level, banks, cache=None):
     pointwise since blocks only accumulate.  The blocks come from
     :func:`mrand.tensor_sums`, with plain arrays between axes.  Each adds
     its |.|^2 from :func:`gridfn.abs_sq` (v*v, or re*re + im*im) in the
-    fixed depth-first block order, and the root is the correctly rounded
-    ``np.sqrt``, so the result does not depend on the SIMD target or the BLAS.
+    fixed depth-first block order, in place and in row tiles of about
+    SUM_LEAF cells, and the root is the correctly rounded ``np.sqrt``, so
+    the result does not depend on the SIMD target or the BLAS.
     """
     mra1d._check_level(max_level, f.depth)
     weights = [mrand.detail_weights(k) for k in range(max_level + 1)]
-    blocks = mrand.tensor_sums(f, [weights] * f.dim, banks, cache)
-    # the first block, of level 0 on every axis, spans every later block
-    first = next(blocks)
-    origin, box, acc = first.origin, first.box(), abs_sq(first.data)
-    del first
-    for block in blocks:
-        acc[_slot(block, box)] += abs_sq(block.data)
-    return GridFunction(np.sqrt(acc), f.depth, origin,
+    acc = None
+    for block in mrand.tensor_sums(f, [weights] * f.dim, banks, cache):
+        if acc is None:
+            # the first block, of level 0 on every axis, spans every later
+            # block; 0 + |z|^2 has the bits of |z|^2
+            origin, box, acc = block.origin, block.box(), np.zeros(block.shape)
+        sub = acc[_slot(block, box)]
+        rows = max(1, SUM_LEAF * len(sub) // max(1, sub.size))
+        for r in range(0, len(sub), rows):
+            sub[r:r + rows] += abs_sq(block.data[r:r + rows])
+        del block, sub  # freed before the next block is built
+    return GridFunction(np.sqrt(acc, out=acc), f.depth, origin,
                         meta=f"square_function[K={max_level}]")
 
 

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import refinable
-from .errors import LevelOverflow, ResolutionExhausted
+from .errors import FrameTooLarge, LevelOverflow, ResolutionExhausted
 from .gridfn import GridFunction
 
 LEVEL_HEADROOM = 4
@@ -35,6 +36,9 @@ LEVEL_HEADROOM = 4
 SCATTER_TILE_BYTES = 1 << 18
 # elements in one of the buffers through which einsum casts its operands
 EINSUM_BUFFER = 8192
+# one synthesised frame may take 1/FRAME_MEMORY_PARTS of physical memory:
+# a sweep holds several frames the size of its largest at once
+FRAME_MEMORY_PARTS = 6
 
 
 @dataclass(frozen=True)
@@ -137,10 +141,17 @@ def _scatter(coeffs, taps, stride):
     shorter of j and t: over j it adds a run of all taps per coefficient,
     over t, in descending order, one tap times a run of all coefficients.
     Row tiles keep temporaries under SCATTER_TILE_BYTES where a row fits.
+    An output over the frame budget raises FrameTooLarge unallocated.
     """
     rows, count = coeffs.shape
-    out = np.zeros((rows, (count - 1) * stride + taps.size),
-                   dtype=np.result_type(coeffs, taps))
+    shape = (rows, (count - 1) * stride + taps.size)
+    dtype = np.result_type(coeffs, taps)
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if rows * shape[1] * dtype.itemsize * FRAME_MEMORY_PARTS > phys:
+        raise FrameTooLarge(f"a {rows} x {shape[1]} {dtype} frame is over "
+                            f"1/{FRAME_MEMORY_PARTS} of physical memory "
+                            f"({phys >> 20} MiB)")
+    out = np.zeros(shape, dtype=dtype)
     by_shift = count <= taps.size
     tile = max(1, SCATTER_TILE_BYTES // (out.itemsize * max(count, taps.size)))
     for r0 in range(0, rows, tile):

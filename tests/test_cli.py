@@ -167,6 +167,20 @@ def test_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_frame_over_memory_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # 1 MiB of physical memory: the depth-9 sweep's largest frame, 8 KiB,
+    # fits; the depth-14 one, 256 KiB, is over the sixth allowed to a frame
+    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    args = ["lp-sweep", "--banks", "haar", "--max-level", "3", "--trials",
+            "0", "--no-plot", "--out", str(tmp_path)]
+    assert run(args + ["--depth", "9"]) == 0
+    capsys.readouterr()
+    assert run(args + ["--depth", "14"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "physical memory" in err
+
+
 # every module `import dyadwave.cli` loads beyond `import numpy`; the CLI's
 # set-up time is these imports and the registry, so a new one must be added
 # here on purpose

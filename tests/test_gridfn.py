@@ -129,10 +129,21 @@ SHARED_ROOT_LISTS = [(1.25, 1.5, 2.0, 4.0), (1.5, 2.0, 4.0), (2.0, 4.0, 6.0),
                      (2.25, 5.5, 1.5, 2.5, 3.0)]
 
 
+def _frames_over_leaves(rng):
+    """Frames of one leaf and of several, split unevenly by the tree."""
+    leaf = gf.SUM_LEAF
+    real = [(37, 29), (41, 23), (181, 419), (40, 41, 43), ((1 << 17) + 3,),
+            (leaf,), (leaf + 1,)]
+    yield random_gridfn(rng, (37, 29), 6)
+    yield random_gridfn(rng, (256, 300), 6)
+    for shape in real:
+        yield gf.GridFunction(rng.standard_normal(shape), 6, (0,) * len(shape))
+
+
 @pytest.mark.parametrize("ps", SHARED_ROOT_LISTS)
 def test_lp_norms_share_roots_bit_for_bit(rng, ps):
-    for f in (random_gridfn(rng, (37, 29), 6),
-              gf.GridFunction(rng.standard_normal((41, 23)), 6, (0, 0))):
+    # the leaves and their tree give np.sum's bits over the whole frame
+    for f in _frames_over_leaves(rng):
         s = gf.abs_sq(f.data)
         want = [float(np.sum(_power_oracle(s, p / 2)) * f.cell_volume)
                 ** (1.0 / p) for p in ps]
@@ -140,20 +151,30 @@ def test_lp_norms_share_roots_bit_for_bit(rng, ps):
         assert [gf.lp_norm(f, p) for p in ps] == want
 
 
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    fn(*args)
+    _, top = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return top
+
+
 @pytest.mark.parametrize("ps", SHARED_ROOT_LISTS)
-def test_lp_norms_hold_no_more_frames_than_one_exponent(rng, ps):
-    # the shared roots never raise the peak over the worst single exponent
-    f = gf.GridFunction(rng.standard_normal((128, 128)), 7, (0, 0))
+def test_lp_norms_hold_a_few_leaves(rng, ps):
+    # |f|^2, its roots and the products live one leaf at a time
+    shape = (16, gf.SUM_LEAF)
+    for f in (gf.GridFunction(rng.standard_normal(shape), 6, (0, 0)),
+              random_gridfn(rng, shape, 6)):
+        assert _traced_peak(gf.lp_norms, f, ps) < 8 * gf.SUM_LEAF * 8
 
-    def peak(qs):
-        tracemalloc.start()
-        gf.lp_norms(f, qs)
-        _, top = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        return top
 
-    alone = max(peak((p,)) for p in ps)
-    assert peak(ps) <= alone + f.data.nbytes // 16
+def test_abs_sq_complex_holds_two_frames(rng):
+    shape = (1024, 1024)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    frame = z.size * 8
+    assert _traced_peak(gf.abs_sq, z) <= 2 * frame + frame // 16
+    sq = z.view(np.float64) * z.view(np.float64)
+    assert gf.abs_sq(z).tobytes() == (sq[:, 0::2] + sq[:, 1::2]).tobytes()
 
 
 def test_bad_exponents():

@@ -53,6 +53,27 @@ def test_square_function_zero(haar):
     assert gf.sup_norm(sf) == 0.0
 
 
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_square_function_tiles_keep_bits(db2, rng, complex_input):
+    # the frame-wide formula is the oracle: |first block|^2, then += each
+    # later block's |.|^2 on its slot, then the root; the first block's
+    # 640^2 cells make 13 row tiles
+    data = rng.standard_normal((128, 128))
+    if complex_input:
+        data = data + 1j * rng.standard_normal((128, 128))
+    f = gf.GridFunction(data, 7, (0, 0))
+    weights = [mrand.detail_weights(k) for k in range(3)]
+    blocks = list(mrand.tensor_sums(f, [weights] * 2, db2))
+    box = blocks[0].box()
+    acc = gf.abs_sq(blocks[0].data)
+    assert acc.size > 4 * gf.SUM_LEAF
+    for block in blocks[1:]:
+        acc[gf._slot(block, box)] += gf.abs_sq(block.data)
+    sf = lp.square_function(f, 2, db2)
+    assert sf.origin == blocks[0].origin
+    assert sf.data.tobytes() == np.sqrt(acc).tobytes()
+
+
 def test_square_function_single_block_level0(db4):
     # a level-0 generator shift is reproduced by the 0-block and annihilated
     # by every finer detail, so S f = |f|

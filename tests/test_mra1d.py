@@ -1,3 +1,4 @@
+import os
 import weakref
 
 import numpy as np
@@ -6,7 +7,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from dyadwave import gridfn as gf
 from dyadwave import mra1d, refinable
-from dyadwave.errors import LevelOverflow, ResolutionExhausted
+from dyadwave.errors import FrameTooLarge, LevelOverflow, ResolutionExhausted
 
 
 def noise(rng, depth, size=None, origin=0):
@@ -352,3 +353,16 @@ def test_level_sums_releases_input_rows(db4, rng):
     first = next(sums)
     assert alive() is None  # only the top analysis reads the rows
     assert len(list(sums)) == 2 and first[0].shape[0] == 4
+
+
+def test_scatter_refuses_frame_over_memory_budget(monkeypatch, rng):
+    # 6 MiB of physical memory allow one frame of 1 MiB: 131,072 float64
+    # cells, or 65,536 complex128
+    pages = {"SC_PHYS_PAGES": 1536, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    taps = np.ones(1024)
+    assert mra1d._scatter(np.ones((128, 1)), taps, 1024).nbytes == 1 << 20
+    with pytest.raises(FrameTooLarge, match="physical memory"):
+        mra1d._scatter(np.ones((128, 2)), taps, 1024)
+    with pytest.raises(FrameTooLarge):
+        mra1d._scatter(np.ones((128, 1), dtype=complex), taps, 1024)
