@@ -5,7 +5,7 @@ Subpackage map:
 * :mod:`dyadwave.refinable` -- filter banks, dyadic value tables, Riesz and
   biorthogonality diagnostics.
 * :mod:`dyadwave.gridfn` -- sampled functions on dyadic grids, quadrature,
-  norms, dilation, multi-index helpers.
+  norms, multi-index helpers.
 * :mod:`dyadwave.mra1d` -- one-dimensional projection / detail operators.
 * :mod:`dyadwave.mrand` -- axis lifting and tensor-product projectors.
 * :mod:`dyadwave.lpharness` -- square function, sign operators, Rademacher
@@ -16,7 +16,7 @@ Subpackage map:
 """
 
 from . import errors
-from .gridfn import GridFunction, inner_product, lp_norm, dilate
+from .gridfn import GridFunction, inner_product, lp_norm
 from .refinable import FilterBank, get_bank, load_registry
 
 __version__ = "0.1.0"
@@ -26,7 +26,6 @@ __all__ = [
     "GridFunction",
     "inner_product",
     "lp_norm",
-    "dilate",
     "FilterBank",
     "get_bank",
     "load_registry",

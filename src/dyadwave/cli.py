@@ -55,15 +55,11 @@ def _setting(args, config, key, default, cast=str):
 
 
 def _float_list(text):
-    if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
-    return [float(tok) for tok in str(text).replace(",", " ").split()]
+    return [float(tok) for tok in _str_list(text)]
 
 
 def _str_list(text):
-    if isinstance(text, (list, tuple)):
-        return [str(x) for x in text]
-    return [tok for tok in str(text).replace(",", " ").split()]
+    return text.replace(",", " ").split()
 
 
 def _load_banks(ids, registry_dir):

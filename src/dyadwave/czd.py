@@ -48,9 +48,6 @@ class Cube:
     def width(self):
         return 2.0 ** (-self.scale)
 
-    def bounds(self):
-        return self.index * self.width, (self.index + 1) * self.width
-
     def grid_range(self, depth):
         span = 1 << (depth - self.scale) if depth >= self.scale else None
         if span is None:

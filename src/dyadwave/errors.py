@@ -31,7 +31,7 @@ class BadExponent(DyadwaveError):
 
 
 class ResolutionExhausted(DyadwaveError):
-    """Grid depth leaves no headroom for the requested rescaling or synthesis."""
+    """Grid depth leaves no headroom for the requested synthesis."""
 
 
 class AxisOutOfRange(DyadwaveError):
@@ -44,10 +44,6 @@ class LevelOverflow(DyadwaveError):
 
 class NonProductPattern(DyadwaveError):
     """Sign table does not factor as a per-axis product pattern."""
-
-
-class BreakpointHit(DyadwaveError):
-    """Rademacher evaluation point sits on a dyadic breakpoint."""
 
 
 class TooManyTerms(DyadwaveError):

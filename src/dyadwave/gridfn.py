@@ -13,13 +13,12 @@ of inclusion-exclusion and box enumeration.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponent, DepthMismatch, ResolutionExhausted
+from .errors import BadExponent, DepthMismatch
 
 MAX_DIM = 3
 
@@ -70,24 +69,12 @@ class GridFunction:
         return self.data.shape
 
     @property
-    def step(self):
-        return 2.0 ** (-self.depth)
-
-    @property
     def cell_volume(self):
         return 2.0 ** (-self.depth * self.dim)
 
     def box(self):
         """Per-axis (lo, hi) of the bounding box in grid units, half open."""
         return tuple((o, o + n) for o, n in zip(self.origin, self.shape))
-
-    def support(self):
-        """Per-axis (lo, hi) of the bounding box in real coordinates."""
-        return tuple((lo * self.step, hi * self.step) for lo, hi in self.box())
-
-    def axis_midpoints(self, axis):
-        o = self.origin[axis]
-        return (o + np.arange(self.shape[axis]) + 0.5) * self.step
 
     def __add__(self, other):
         return combine(self, other, np.add)
@@ -300,53 +287,6 @@ def lp_norm(f, p):
 
 def l1_norm(f):
     return float(np.sum(np.abs(f.data)) * f.cell_volume)
-
-
-def sup_norm(f):
-    return float(np.abs(f.data).max()) if f.data.size else 0.0
-
-
-# ---------------------------------------------------------------------------
-# dilation
-
-
-def dilate(f, k):
-    """f(2^k .): pure re-indexing; cells shrink to width 2**-(depth+k).
-
-    The data array is unchanged -- cell i of the result covers exactly the
-    image of cell i of the input -- so the semigroup law composes bit
-    exactly and norms scale by 2**(-k/p) up to rounding.
-    """
-    k = int(k)
-    if abs(k) > f.depth - 2:
-        raise ResolutionExhausted(f"|k|={abs(k)} exceeds headroom of depth {f.depth}")
-    return GridFunction(f.data, f.depth + k, f.origin, f.meta)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def gridfn_to_csv(f, path):
-    """CSV inspection dump for 1-D and 2-D functions."""
-    if f.dim > 2:
-        raise ValueError("CSV export supports d <= 2")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\r\n")
-        if f.dim == 1:
-            w.writerow(["x", "re", "im"])
-            for x, v in zip(f.axis_midpoints(0), f.data):
-                w.writerow([repr(float(x)), repr(float(v.real)),
-                            repr(float(v.imag))])
-        else:
-            w.writerow(["x1", "x2", "re", "im"])
-            xs = f.axis_midpoints(0)
-            ys = f.axis_midpoints(1)
-            for i, x in enumerate(xs):
-                for j, y in enumerate(ys):
-                    v = f.data[i, j]
-                    w.writerow([repr(float(x)), repr(float(y)),
-                                repr(float(v.real)), repr(float(v.imag))])
 
 
 # ---------------------------------------------------------------------------

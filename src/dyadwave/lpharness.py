@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mra1d, mrand
-from .errors import BreakpointHit, NonProductPattern, TooManyTerms
+from .errors import NonProductPattern, TooManyTerms
 from .gridfn import (SUM_LEAF, GridFunction, _slot, abs_sq, lp_norm, lp_norms,
                      sample)
 
@@ -93,10 +93,6 @@ class SignPattern:
         signs = rng.integers(0, 2, size=(dim, max_level + 1)) * 2 - 1
         return cls(tuple(tuple(int(s) for s in row) for row in signs))
 
-    @classmethod
-    def constant(cls, dim, max_level, sign=1):
-        return cls(((sign,) * (max_level + 1),) * dim)
-
 
 # ---------------------------------------------------------------------------
 # block iteration and the square function
@@ -146,34 +142,7 @@ def sign_operator(f, pattern, banks, cache=None):
 
 
 # ---------------------------------------------------------------------------
-# Rademacher system and Khintchine moments
-
-
-def rademacher(levels, t):
-    """Sign of sin(2^(k+1) pi t) per axis, multiplied over axes; exact.
-
-    The sign is + on the even half-open dyadic cells of width 2^-(k+1) and -
-    on the odd ones; points on a cell boundary raise BreakpointHit so the
-    caller can jitter.
-    """
-    if np.isscalar(levels):
-        levels = (int(levels),)
-        t = (float(t),)
-    else:
-        levels = tuple(int(k) for k in levels)
-        t = tuple(float(x) for x in t)
-    if len(levels) != len(t):
-        raise ValueError("level vector and point dimension differ")
-    sign = 1
-    for k, x in zip(levels, t):
-        if not 0.0 < x < 1.0:
-            raise ValueError(f"evaluation point {x} outside the open unit interval")
-        u = x * 2.0 ** (k + 1)
-        cell = math.floor(u)
-        if u == cell:
-            raise BreakpointHit(f"t={x} on a level-{k} dyadic breakpoint")
-        sign *= 1 if cell % 2 == 0 else -1
-    return sign
+# Khintchine moments
 
 
 def _axis_sign_matrix(k):

@@ -19,10 +19,8 @@ A weighted sum of projections moves between levels in coefficient space
 
 from __future__ import annotations
 
-import csv
 import itertools
 import os
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -39,41 +37,6 @@ EINSUM_BUFFER = 8192
 # one synthesised frame may take 1/FRAME_MEMORY_PARTS of physical memory:
 # a sweep holds several frames the size of its largest at once
 FRAME_MEMORY_PARTS = 6
-
-
-@dataclass(frozen=True)
-class LevelCoefficients:
-    """Sparse coefficient window c_nu at one level; keys are shifts nu.
-
-    The window [shift_first, shift_first + len - 1] is exactly the set of
-    shifts whose dual support meets the source box; entries outside are
-    identically zero and therefore absent.
-    """
-
-    level: int
-    shift_first: int
-    values: np.ndarray
-    filter_id: str
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.values)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def shifts(self):
-        return self.shift_first + np.arange(len(self.values))
-
-    def as_dict(self):
-        return dict(zip(self.shifts().tolist(), self.values.tolist()))
-
-    def to_csv(self, path):
-        """Rows (level, shift, re, im)."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\r\n")
-            w.writerow(["level", "shift", "re", "im"])
-            for n, v in zip(self.shifts(), self.values):
-                w.writerow([self.level, int(n), repr(float(v.real)),
-                            repr(float(v.imag))])
 
 
 def _check_level(level, depth):
@@ -244,28 +207,6 @@ def level_sums(rows, origin, depth, weight_vectors, bank, cache=None):
 def _require_1d(f):
     if f.dim != 1:
         raise ValueError(f"expected a 1-D grid function, got dimension {f.dim}")
-
-
-def analyze(f, level, bank, cache=None):
-    """Level-k analysis coefficients of a 1-D grid function."""
-    _require_1d(f)
-    _check_level(level, f.depth)
-    refinable.ensure_accepted(bank)
-    coeffs, nu_min = analyze_rows(f.data[None, :], f.origin[0], f.depth,
-                                  level, bank, cache)
-    return LevelCoefficients(level=level, shift_first=nu_min,
-                             values=coeffs[0], filter_id=bank.bank_id)
-
-
-def synthesize(coeffs, bank, depth, cache=None):
-    """Grid function sum_nu c_nu phi(2^level . - nu) at the given depth."""
-    if bank.bank_id != coeffs.filter_id:
-        raise ValueError(
-            f"coefficients for {coeffs.filter_id!r}, bank is {bank.bank_id!r}")
-    rows, origin = synthesize_rows(coeffs.values[None, :], coeffs.shift_first,
-                                   coeffs.level, bank, depth, cache)
-    return GridFunction(rows[0], depth, (origin,),
-                        meta=f"synthesize[{bank.bank_id},k={coeffs.level}]")
 
 
 def project(f, level, bank, cache=None):

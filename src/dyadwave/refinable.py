@@ -31,6 +31,8 @@ SQRT2 = float(np.sqrt(2.0))
 MASK_SUM_TOL = 1e-12
 EIGEN_SIMPLE_TOL = 1e-10
 ACCEPTANCE_RESIDUAL = 1e-6
+# quadrature depth of the biorthogonality residual behind the gate
+ACCEPTANCE_DEPTH = 12
 MAX_TABLE_DEPTH = 24
 
 SMOOTHNESS_CLASSES = ("pcw_const", "c0", "c1")
@@ -115,13 +117,6 @@ class DyadicTable:
     def step(self):
         return 2.0 ** (-self.depth)
 
-    @property
-    def n_last(self):
-        return self.n_first + (len(self.values) - 1) * 2 ** (-self.depth)
-
-    def grid(self):
-        return self.n_first + np.arange(len(self.values)) * self.step
-
     def midpoint_samples(self, gap):
         """Values at n_first + (m + 1/2) * 2**-gap over the support.
 
@@ -200,20 +195,6 @@ def _exact_seed(matrix, what):
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return np.array([float(row[n]) for row in rows])
-
-
-def integer_values(bank, which):
-    """Function values at the integer support points, as a map n -> phi(n).
-
-    The values solve the eigenvalue-1 problem of the integer refinement
-    matrix, normalized to sum 1; see :func:`_integer_vector` for how.
-    Piecewise-constant generators take the left-closed convention (value 1
-    at the left support endpoint) since their integer eigenproblem is
-    degenerate by construction.
-    """
-    mask = bank.mask(which)
-    vec = _integer_vector(bank, which)
-    return {mask.n_first + i: float(v) for i, v in enumerate(vec)}
 
 
 def _integer_vector(bank, which):
@@ -358,11 +339,11 @@ def biorthogonality_residual(bank, depth=12):
 _ACCEPTANCE_MEMO = {}
 
 
-def is_accepted(bank, depth=12):
+def is_accepted(bank):
     """Acceptance gate for projector use: biorthogonality residual <= 1e-6."""
-    key = (bank.bank_id, mask_digest(bank), depth)
+    key = (bank.bank_id, mask_digest(bank))
     if key not in _ACCEPTANCE_MEMO:
-        _ACCEPTANCE_MEMO[key] = biorthogonality_residual(bank, depth)
+        _ACCEPTANCE_MEMO[key] = biorthogonality_residual(bank, ACCEPTANCE_DEPTH)
     return _ACCEPTANCE_MEMO[key] <= ACCEPTANCE_RESIDUAL
 
 
@@ -370,7 +351,7 @@ def ensure_accepted(bank):
     if not is_accepted(bank):
         raise BankRejected(
             f"bank {bank.bank_id} rejected: biorthogonality residual "
-            f"{_ACCEPTANCE_MEMO[(bank.bank_id, mask_digest(bank), 12)]:.3e} > "
+            f"{_ACCEPTANCE_MEMO[(bank.bank_id, mask_digest(bank))]:.3e} > "
             f"{ACCEPTANCE_RESIDUAL}")
 
 

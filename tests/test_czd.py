@@ -182,7 +182,7 @@ def oracle_decompose(f, alpha):
             stack.append(czd.Cube(cube.scale + 1, 2 * cube.index))
             stack.append(czd.Cube(cube.scale + 1, 2 * cube.index + 1))
 
-    order = sorted(range(len(cubes)), key=lambda i: cubes[i].bounds()[0])
+    order = sorted(range(len(cubes)), key=lambda i: cubes[i].grid_range(depth)[0])
     cubes = [cubes[i] for i in order]
     averages = [averages[i] for i in order]
     abs_averages = [abs_averages[i] for i in order]

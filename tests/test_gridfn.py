@@ -1,11 +1,10 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dyadwave import gridfn as gf
-from dyadwave.errors import BadExponent, DepthMismatch, ResolutionExhausted
+from dyadwave.errors import BadExponent, DepthMismatch
 
 
 def random_gridfn(rng, shape, depth, origin=None):
@@ -246,60 +245,6 @@ def test_combine_mixed_dtypes(rng):
         assert got.data.dtype == np.complex128
         assert np.array_equal(got.data, gf.embed(f, box) - gf.embed(g, box))
     assert (x + x).data.dtype == np.float64
-
-
-# ---------------------------------------------------------------------------
-# dilation
-
-
-def test_dilate_identity(rng):
-    f = random_gridfn(rng, (32,), 8)
-    g = gf.dilate(f, 0)
-    assert g.depth == f.depth and np.array_equal(g.data, f.data)
-
-
-def test_dilate_indicator_halves():
-    chi = gf.indicator(8, ((0.0, 1.0),))
-    g = gf.dilate(chi, 1)
-    assert g.support() == ((0.0, 0.5),)
-    assert abs(gf.l1_norm(g) - 0.5) < 1e-15
-
-
-def test_dilate_norm_law(rng):
-    f = random_gridfn(rng, (512,), 10)
-    g = gf.dilate(f, 2)
-    ratio = gf.lp_norm(g, 3) / gf.lp_norm(f, 3)
-    assert abs(ratio - 2.0 ** (-2 / 3)) < 1e-10
-
-
-def test_dilate_semigroup(rng):
-    f = random_gridfn(rng, (64,), 10)
-    a = gf.dilate(gf.dilate(f, 2), -1)
-    b = gf.dilate(f, 1)
-    assert a.depth == b.depth and a.origin == b.origin
-    assert np.array_equal(a.data, b.data)
-
-
-def test_dilate_headroom(rng):
-    f = random_gridfn(rng, (16,), 5)
-    with pytest.raises(ResolutionExhausted):
-        gf.dilate(f, 4)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def test_csv_export(tmp_path, rng):
-    f = random_gridfn(rng, (4,), 4)
-    path = tmp_path / "f.csv"
-    gf.gridfn_to_csv(f, path)
-    lines = path.read_bytes().split(b"\r\n")
-    assert lines[0] == b"x,re,im"
-    assert len(lines) == 6  # header + 4 rows + trailing newline
-    f2 = random_gridfn(rng, (2, 3), 4, origin=(0, 0))
-    gf.gridfn_to_csv(f2, tmp_path / "f2.csv")
-    assert (tmp_path / "f2.csv").read_bytes().startswith(b"x1,x2,re,im")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from numpy.lib.stride_tricks import as_strided
 
 from dyadwave import gridfn as gf
+from dyadwave import lpharness as lp
 from dyadwave import mra1d, refinable
 from dyadwave.errors import FrameTooLarge, LevelOverflow, ResolutionExhausted
 
@@ -16,48 +17,62 @@ def noise(rng, depth, size=None, origin=0):
     return gf.GridFunction(data, depth, (origin,))
 
 
+def coefficients(f, level, bank):
+    """{shift: c_nu} of the level-k analysis of a 1-D grid function."""
+    coeffs, first = mra1d.analyze_rows(f.data[None, :], f.origin[0], f.depth,
+                                       level, bank)
+    return dict(enumerate(coeffs[0].tolist(), start=first))
+
+
+def synthesized(values, shift_first, level, bank, depth):
+    """sum_nu c_nu phi(2^level . - nu) as a 1-D grid function."""
+    rows, origin = mra1d.synthesize_rows(np.asarray(values)[None, :],
+                                         shift_first, level, bank, depth)
+    return gf.GridFunction(rows[0], depth, (origin,))
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
 
 def test_analyze_haar_unit(haar):
     chi = gf.indicator(10, ((0.0, 1.0),))
-    assert mra1d.analyze(chi, 0, haar).as_dict() == {0: 1.0 + 0j}
+    assert coefficients(chi, 0, haar) == {0: 1.0 + 0j}
 
 
 def test_analyze_haar_level1(haar):
     chi = gf.indicator(10, ((0.0, 1.0),))
-    assert mra1d.analyze(chi, 1, haar).as_dict() == {0: 1.0 + 0j, 1: 1.0 + 0j}
+    assert coefficients(chi, 1, haar) == {0: 1.0 + 0j, 1: 1.0 + 0j}
 
 
 def test_analyze_haar_linear(haar):
     xf = gf.sample(lambda x: x, 12, ((0.0, 1.0),))
-    coeffs = mra1d.analyze(xf, 0, haar).as_dict()
+    coeffs = coefficients(xf, 0, haar)
     assert set(coeffs) == {0}
     assert abs(coeffs[0] - 0.5) < 1e-12
 
 
 def test_analyze_window_is_support_exact(db4, rng):
     f = noise(rng, 10, size=2 ** 10)
-    c = mra1d.analyze(f, 2, db4)
+    c = coefficients(f, 2, db4)
     # shifts with measure-positive overlap of supp phi*(4 . - nu) and (0,1)
-    assert c.shift_first == -6
-    assert c.shifts()[-1] == 3
-    assert mra1d.analyze(f, 2, db4).values.shape == (10,)
+    assert min(c) == -6
+    assert max(c) == 3
+    assert len(c) == 10
 
 
 def test_level_cap(haar, rng):
     f = noise(rng, 8)
     with pytest.raises(LevelOverflow):
-        mra1d.analyze(f, 5, haar)
+        mra1d.project(f, 5, haar)
     with pytest.raises(ValueError):
-        mra1d.analyze(f, -1, haar)
+        mra1d.project(f, -1, haar)
 
 
 def test_analyze_needs_1d(haar, rng):
     f = gf.GridFunction(rng.standard_normal((8, 8)) + 0j, 6, (0, 0))
     with pytest.raises(ValueError, match="1-D"):
-        mra1d.analyze(f, 0, haar)
+        mra1d.project(f, 0, haar)
 
 
 # ---------------------------------------------------------------------------
@@ -65,50 +80,29 @@ def test_analyze_needs_1d(haar, rng):
 
 
 def test_synthesize_haar_unit(haar):
-    c = mra1d.LevelCoefficients(0, 0, np.array([1.0 + 0j]), "haar")
-    g = mra1d.synthesize(c, haar, 8)
+    g = synthesized([1.0 + 0j], 0, 0, haar, 8)
     chi = gf.indicator(8, ((0.0, 1.0),))
     assert np.array_equal(g.data, chi.data) and g.origin == chi.origin
 
 
 def test_synthesize_haar_step(haar):
-    c = mra1d.LevelCoefficients(1, 0, np.array([1.0, -1.0], dtype=complex),
-                                "haar")
-    g = mra1d.synthesize(c, haar, 8)
+    g = synthesized(np.array([1.0, -1.0], dtype=complex), 0, 1, haar, 8)
     want = gf.sample(lambda x: np.where(x < 0.5, 1.0, -1.0), 8, ((0.0, 1.0),))
     assert np.array_equal(g.data, want.data)
 
 
 def test_synthesize_support_box(db2, rng):
     vals = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    c = mra1d.LevelCoefficients(2, -1, vals, "db2")
-    g = mra1d.synthesize(c, db2, 10)
-    # box oracle: union over nu in [-1, 3] of [nu/4, (nu+3)/4]
-    assert g.support() == ((-1 / 4, (3 + 3) / 4),)
+    g = synthesized(vals, -1, 2, db2, 10)
+    # box oracle: union over nu in [-1, 3] of [nu/4, (nu+3)/4], in grid
+    # units of 2^-10
+    assert g.box() == ((-1 * 2 ** 8, (3 + 3) * 2 ** 8),)
     assert np.isfinite(gf.lp_norm(g, 2))
 
 
 def test_synthesize_headroom(haar):
-    c = mra1d.LevelCoefficients(4, 0, np.array([1.0 + 0j]), "haar")
     with pytest.raises(ResolutionExhausted):
-        mra1d.synthesize(c, haar, 6)
-
-
-def test_synthesize_bank_mismatch(haar):
-    c = mra1d.LevelCoefficients(0, 0, np.array([1.0 + 0j]), "db4")
-    with pytest.raises(ValueError, match="bank"):
-        mra1d.synthesize(c, haar, 8)
-
-
-def test_coefficients_csv(tmp_path, haar):
-    chi = gf.indicator(10, ((0.0, 1.0),))
-    c = mra1d.analyze(chi, 1, haar)
-    path = tmp_path / "c.csv"
-    c.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "level,shift,re,im"
-    assert lines[1].startswith("1,0,1.0,")
-    assert len(lines) == 3
+        synthesized([1.0 + 0j], 0, 4, haar, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +132,15 @@ def test_project_reproduces_basis_function(db4):
 def test_project_kernel_element(haar):
     w = gf.sample(lambda x: np.where(x < 0.5, 1.0, -1.0), 10, ((0.0, 1.0),))
     e0 = mra1d.project(w, 0, haar)
-    assert gf.sup_norm(e0) <= 1e-12
+    assert np.abs(e0.data).max() <= 1e-12
 
 
 def test_project_support_growth(db4, rng):
     f = noise(rng, 10, size=2 ** 10)
     e0 = mra1d.project(f, 0, db4)
-    lo, hi = e0.support()[0]
-    # fattening by at most the two supports at scale 1
-    assert lo >= 0.0 - 7 and hi <= 1.0 + 7
+    lo, hi = e0.box()[0]
+    # fattening by at most the two supports at scale 1, in grid units
+    assert lo >= (0 - 7) * 2 ** 10 and hi <= (1 + 7) * 2 ** 10
 
 
 def test_detail_level0_is_projection(haar, rng):
@@ -159,7 +153,7 @@ def test_detail_level0_is_projection(haar, rng):
 def test_detail_vanishes_on_coarse_space(haar):
     chi = gf.indicator(10, ((0.0, 1.0),))
     for level in (1, 2, 3):
-        assert gf.sup_norm(mra1d.detail(chi, level, haar)) <= 1e-12
+        assert np.abs(mra1d.detail(chi, level, haar).data).max() <= 1e-12
 
 
 def test_detail_telescoping(db3, rng):
@@ -217,8 +211,7 @@ def test_parseval_for_synthesized(registry, rng, bank_name, depth, level):
     bank = registry[bank_name]
     coeffs = (rng.standard_normal(2 ** level)
               + 1j * rng.standard_normal(2 ** level))
-    f = mra1d.synthesize(
-        mra1d.LevelCoefficients(level, 0, coeffs, bank_name), bank, depth)
+    f = lp.synthesize_nd(coeffs, (0,), (level,), bank, depth)
     n2 = gf.lp_norm(f, 2) ** 2
     total = sum(gf.lp_norm(mra1d.detail(f, k, bank), 2) ** 2
                 for k in range(level + 1))
@@ -241,8 +234,7 @@ def test_uniform_boundedness(db4, rng):
                         ((0.0, 1.0),))]
     for k in range(top + 1):
         c = (rng.standard_normal(2 ** k) + 1j * rng.standard_normal(2 ** k))
-        corpus.append(mra1d.synthesize(
-            mra1d.LevelCoefficients(k, 0, c, "db4"), db4, depth))
+        corpus.append(lp.synthesize_nd(c, (0,), (k,), db4, depth))
     for p in (1.5, 2.0, 4.0):
         sups = []
         for k in range(top + 1):

@@ -66,12 +66,19 @@ def test_parse_errors(tmp_path):
 # integer values
 
 
-def test_haar_integer_values_left_closed(haar):
-    assert refinable.integer_values(haar, "primal") == {0: 1.0, 1: 0.0}
+def integer_points(bank, which):
+    """{n: phi(n)} at the integer support points, read off a depth-1 table:
+    subdivision keeps the integer points bit for bit."""
+    values = refinable.cascade(bank, which, 1).values[::2]
+    return {bank.mask(which).n_first + i: float(v) for i, v in enumerate(values)}
 
 
-def test_db2_integer_values_closed_form(db2):
-    vals = refinable.integer_values(db2, "primal")
+def test_haar_integer_points_left_closed(haar):
+    assert integer_points(haar, "primal") == {0: 1.0, 1: 0.0}
+
+
+def test_db2_integer_points_closed_form(db2):
+    vals = integer_points(db2, "primal")
     s3 = math.sqrt(3.0)
     assert abs(vals[1] - (1 + s3) / 2) < 1e-12
     assert abs(vals[2] - (1 - s3) / 2) < 1e-12
@@ -79,7 +86,7 @@ def test_db2_integer_values_closed_form(db2):
     assert abs(vals[1] + vals[2] - 1.0) < 1e-12
 
 
-def test_db2_integer_values_against_bruteforce_eigen(db2):
+def test_db2_integer_points_against_bruteforce_eigen(db2):
     # independent oracle: dense nullspace solve of (M - I) v = 0 plus the
     # sum-one normalization, no shared code with the cascade path
     h = np.asarray(db2.primal.coeffs)
@@ -91,19 +98,19 @@ def test_db2_integer_values_against_bruteforce_eigen(db2):
     a = np.vstack([m - np.eye(4), np.ones((1, 4))])
     b = np.concatenate([np.zeros(4), [1.0]])
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    got = refinable.integer_values(db2, "primal")
+    got = integer_points(db2, "primal")
     for k in range(4):
         assert abs(got[k] - sol[k]) < 1e-10
 
 
-def test_integer_values_sum_one(registry):
+def test_integer_points_sum_one(registry):
     for bank in registry.values():
         for which in ("primal", "dual"):
-            assert abs(sum(refinable.integer_values(bank, which).values())
+            assert abs(sum(integer_points(bank, which).values())
                        - 1.0) < 1e-12
 
 
-def test_integer_values_exact_seed(registry):
+def test_integer_points_exact_seed(registry):
     # the seed solves the refinement equations to rounding, and the one-tap
     # boundary equations force exact zeros at the ends of the support
     for bank in registry.values():
@@ -111,7 +118,7 @@ def test_integer_values_exact_seed(registry):
             mask = bank.mask(which)
             if mask.support_length < 2:
                 continue
-            vals = refinable.integer_values(bank, which)
+            vals = integer_points(bank, which)
             v = np.array([vals[mask.n_first + i]
                           for i in range(mask.support_length + 1)])
             m = refinable._refinement_matrix(mask)
@@ -123,7 +130,7 @@ def test_non_simple_eigenvalue():
     c = 1 / SQRT2
     bank = bank_from_masks("degenerate", [c, 0.0, c], 0, [c, 0.0, c], 0)
     with pytest.raises(NonSimpleEigenvalue):
-        refinable.integer_values(bank, "primal")
+        refinable.cascade(bank, "primal", 1)
 
 
 # ---------------------------------------------------------------------------
