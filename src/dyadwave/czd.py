@@ -9,7 +9,9 @@ alpha.  Halving at most doubles an average, so every selected cube Q has
 
 the complement W of the closed set F satisfies |W| <= ||f||_1 / alpha, and
 the good/bad split g = f on F, g = average on each Q, h_Q = (f - avg) chi_Q
-has mean-zero bad parts.  All sums are exact cell sums on the grid, so the
+has mean-zero bad parts.  The bad parts are stored as one grid function
+``bad`` = f - g on the good part's box: h_Q is ``bad`` on Q, and ``bad``
+is exactly 0.0 on F.  All sums are exact cell sums on the grid, so the
 inequalities hold with the dyadic constants, not just asymptotically.
 
 The stopping time runs scale by scale, from the two halves of the root
@@ -65,7 +67,7 @@ class CZDecomposition:
     averages: tuple        # signed f-average over each cube
     abs_averages: tuple    # average of |f| over each cube
     good: GridFunction
-    bad_parts: tuple       # one GridFunction per cube, supported in it
+    bad: GridFunction      # f - g on good's box; h_Q is bad on Q, 0.0 on F
     root_exponent: int
 
     @property
@@ -120,8 +122,9 @@ def _index_array(values):
 def _stopping_time(mass_of, integral_of, alpha, depth, m):
     """Maximal dyadic cubes in [-2^m, 2^m) whose |f| average exceeds alpha.
 
-    Returns the cubes sorted by left end, their signed averages and their
-    |f| averages.  Only one scale's arrays are alive at a time.
+    Returns the cubes sorted by left end, their signed averages, their
+    |f| averages and their grid ranges [lo, hi) as two integer arrays.
+    Only one scale's arrays are alive at a time.
     """
     # the two halves of the root are the dyadic intervals [-2^m, 0) and
     # [0, 2^m); their stopping-time parent is the root, average <= alpha.
@@ -139,8 +142,8 @@ def _stopping_time(mass_of, integral_of, alpha, depth, m):
         if chosen.any():
             lo_q = lo[chosen]
             signed = integral_of(lo_q, lo_q + span) / width
-            picked.append((lo_q, np.full(lo_q.size, s), live[chosen], signed,
-                           avg[chosen]))
+            picked.append((lo_q, lo_q + span, np.full(lo_q.size, s),
+                           live[chosen], signed, avg[chosen]))
         # a single cell with average <= alpha belongs to F
         parents = live[(mass != 0.0) & ~chosen]
         if s == depth or not parents.size:
@@ -148,14 +151,15 @@ def _stopping_time(mass_of, integral_of, alpha, depth, m):
         live = np.repeat(2 * parents, 2)
         live[1::2] += 1
     if not picked:
-        return [], [], []
-    lefts, scales, indices, avgs, abs_avgs = (
+        return [], [], [], live[:0], live[:0]
+    lefts, rights, scales, indices, avgs, abs_avgs = (
         np.concatenate(column) for column in zip(*picked))
     # disjoint cubes have distinct left ends, so this order is unique
     order = np.argsort(lefts, kind="stable")
     cubes = [Cube(s, i) for s, i in zip(scales[order].tolist(),
                                         indices[order].tolist())]
-    return cubes, avgs[order].tolist(), abs_avgs[order].tolist()
+    return (cubes, avgs[order].tolist(), abs_avgs[order].tolist(),
+            lefts[order], rights[order])
 
 
 def cz_decompose(f, alpha):
@@ -185,27 +189,27 @@ def cz_decompose(f, alpha):
                 f"root average stays above alpha={alpha} up to exponent "
                 f"{MAX_ROOT_EXPONENT}")
 
-    cubes, averages, abs_averages = _stopping_time(
+    cubes, averages, abs_averages, lo, hi = _stopping_time(
         _PrefixSums(np.abs(data), origin, cell),
         _PrefixSums(data, origin, cell), alpha, depth, m)
 
-    # good part lives on the union of the f-box and every selected cube
-    ranges = [c.grid_range(depth) for c in cubes]
-    g_lo = min([origin] + [lo for lo, _ in ranges])
-    g_hi = max([origin + size] + [hi for _, hi in ranges])
+    # good and bad parts live on the union of the f-box and every selected
+    # cube.  The cubes are disjoint and sorted, so W's cells in order take
+    # their cube's average from one repeat
+    g_lo = min(origin, int(lo[0])) if cubes else origin
+    g_hi = max(origin + size, int(hi[-1])) if cubes else origin + size
     g_data = np.zeros(g_hi - g_lo)
     g_data[origin - g_lo:origin - g_lo + size] = data
-    bad_parts = []
-    for cube, (lo, hi), avg in zip(cubes, ranges, averages):
-        h_data = g_data[lo - g_lo:hi - g_lo] - avg
-        bad_parts.append(GridFunction(h_data, depth, (lo,),
-                                      meta=f"bad[{cube.scale},{cube.index}]"))
-        g_data[lo - g_lo:hi - g_lo] = avg
-    good = GridFunction(g_data, depth, (g_lo,), meta="good")
+    w = _covered(lo, hi, g_lo, g_data.size)
+    cell_avg = np.repeat(averages, (hi - lo).astype(np.intp))
+    bad = np.zeros_like(g_data)
+    bad[w] = g_data[w] - cell_avg
+    g_data[w] = cell_avg
     return CZDecomposition(
         alpha=float(alpha), cubes=tuple(cubes), averages=tuple(averages),
-        abs_averages=tuple(abs_averages), good=good,
-        bad_parts=tuple(bad_parts), root_exponent=m)
+        abs_averages=tuple(abs_averages),
+        good=GridFunction(g_data, depth, (g_lo,)),
+        bad=GridFunction(bad, depth, (g_lo,)), root_exponent=m)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +279,9 @@ def verify_cz(dec, f):
     # allows last-bit rounding of the interval sums
     eps = 1e-12
 
-    # reconstruction f = g + sum h_r, cellwise, in one buffer on the union
-    # of the boxes; the parts are added in order, as g + h_1 + h_2 + ...
-    parts = (dec.good,) + tuple(dec.bad_parts)
+    # reconstruction f = g + bad, cellwise, in one buffer on the union of
+    # the boxes
+    parts = (dec.good, dec.bad)
     if any(p.depth != depth for p in parts):
         raise DepthMismatch("decomposition and f have different depths")
     r_lo = min(p.origin[0] for p in parts + (f,))
@@ -330,17 +334,21 @@ def verify_cz(dec, f):
     checks.append(Check("good_l2", g2 <= 2 * alpha * norm1 * (1 + eps), g2,
                         2 * alpha * norm1))
 
-    # bad parts: support, zero mean, L1 bound
-    mean_worst = 0.0
-    l1_ok = True
-    l1_worst_ratio = 0.0
-    for cube, part in zip(dec.cubes, dec.bad_parts):
-        mean_worst = max(mean_worst,
-                         abs(float(np.sum(part.data.real)) * cell))
-        mass = float(np.abs(part.data).sum()) * cell
-        ratio = mass / (alpha * cube.width)
-        l1_worst_ratio = max(l1_worst_ratio, ratio)
-        l1_ok = l1_ok and mass <= 4 * alpha * cube.width * (1 + eps)
+    # bad parts: support, zero mean, L1 bound; h_Q is bad on Q
+    b_data = dec.bad.data
+    b_lo, b_n = dec.bad.origin[0], b_data.size
+    off_w = np.abs(b_data[~_covered(lo, hi, b_lo, b_n)])
+    worst_off = float(off_w.max()) if off_w.size else 0.0
+    checks.append(Check("bad_support", worst_off <= 0.0, worst_off, 0.0))
+    mean_worst, l1_ok, l1_worst_ratio = 0.0, True, 0.0
+    for ia, ib, width in zip(_offsets(lo, b_lo, b_n).tolist(),
+                             _offsets(hi, b_lo, b_n).tolist(),
+                             widths.tolist()):
+        part = b_data[ia:ib]
+        mean_worst = max(mean_worst, abs(float(np.sum(part.real)) * cell))
+        mass = float(np.abs(part).sum()) * cell
+        l1_worst_ratio = max(l1_worst_ratio, mass / (alpha * width))
+        l1_ok = l1_ok and mass <= 4 * alpha * width * (1 + eps)
     checks.append(Check("bad_mean_zero", mean_worst <= 1e-12 * max(norm1, 1.0),
                         mean_worst, 1e-12 * max(norm1, 1.0)))
     checks.append(Check("bad_l1", l1_ok, l1_worst_ratio, 4.0,

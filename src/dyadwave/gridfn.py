@@ -39,13 +39,11 @@ class GridFunction:
     data    -- d-dimensional cell values: complex128 if complex, else float64
     depth   -- grid step is 2**-depth along every axis
     origin  -- integer corner of the bounding box, in grid units
-    meta    -- free-form provenance string
     """
 
     data: np.ndarray
     depth: int
     origin: tuple
-    meta: str = ""
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -85,7 +83,7 @@ class GridFunction:
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        return GridFunction(self.data * scalar, self.depth, self.origin, self.meta)
+        return GridFunction(self.data * scalar, self.depth, self.origin)
 
     __rmul__ = __mul__
 
@@ -134,7 +132,7 @@ def combine(f, g, op):
     return GridFunction(out, f.depth, tuple(lo for lo, _ in box))
 
 
-def sample(fn, depth, box, meta=""):
+def sample(fn, depth, box):
     """Sample ``fn`` at cell midpoints of the box (real-coordinate bounds).
 
     box is ((a1, b1), ..., (ad, bd)) with endpoints on the depth-J lattice;
@@ -156,12 +154,12 @@ def sample(fn, depth, box, meta=""):
         values = fn(*np.meshgrid(*axes, indexing="ij"))
     values = np.broadcast_to(values, tuple(hi - lo for lo, hi in grid_box))
     return GridFunction(np.array(values), depth,
-                        tuple(lo for lo, _ in grid_box), meta)
+                        tuple(lo for lo, _ in grid_box))
 
 
-def indicator(depth, box, meta="indicator"):
+def indicator(depth, box):
     """Characteristic function of a dyadic box, exact cell values."""
-    return sample(lambda *xs: np.ones_like(xs[0]), depth, box, meta)
+    return sample(lambda *xs: np.ones_like(xs[0]), depth, box)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import mra1d, mrand
 from .errors import NonProductPattern, TooManyTerms
-from .gridfn import (SUM_LEAF, GridFunction, _slot, abs_sq, lp_norm, lp_norms,
-                     sample)
+from .gridfn import SUM_LEAF, GridFunction, _slot, abs_sq, lp_norms, sample
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +121,7 @@ def square_function(f, max_level, banks, cache=None):
         for r in range(0, len(sub), rows):
             sub[r:r + rows] += abs_sq(block.data[r:r + rows])
         del block, sub  # freed before the next block is built
-    return GridFunction(np.sqrt(acc, out=acc), f.depth, origin,
-                        meta=f"square_function[K={max_level}]")
+    return GridFunction(np.sqrt(acc, out=acc), f.depth, origin)
 
 
 def sign_operator(f, pattern, banks, cache=None):
@@ -249,7 +247,7 @@ def synthesize_nd(coeffs, shift_firsts, levels, banks, depth, cache=None):
         rows, back = mrand.axis_layout(data, origin, axis)
         data, origin = back(*mra1d.synthesize_rows(
             rows, origin[axis], levels[axis], bank, depth, cache))
-    return GridFunction(data, depth, origin, meta="synthesize_nd")
+    return GridFunction(data, depth, origin)
 
 
 def libm_map(fn, x):
@@ -261,7 +259,7 @@ def libm_map(fn, x):
     return np.fromiter(map(fn, x.tolist()), np.float64, count=x.size)
 
 
-def _separable(factors, depth, meta):
+def _separable(factors, depth):
     """prod_a factors[a](x_a) sampled at the cell midpoints of the unit box.
 
     Each factor is evaluated once on the 1-D midpoints; the product is taken
@@ -275,7 +273,7 @@ def _separable(factors, depth, meta):
         shape[axis] = -1
         val = val * fn(x).reshape(shape)
     return GridFunction(np.broadcast_to(val, (2 ** depth,) * dim), depth,
-                        (0,) * dim, meta=meta)
+                        (0,) * dim)
 
 
 def standard_corpus(dim, depth, seed, banks=None, block_level=None):
@@ -300,10 +298,10 @@ def standard_corpus(dim, depth, seed, banks=None, block_level=None):
         c = 0.35 + 0.3 * rng.random(dim)
         w = 0.08 + 0.12 * rng.random(dim)
         out.append((f"gauss-{i}", _separable(
-            [gauss(ca, wa) for ca, wa in zip(c, w)], depth, f"gauss-{i}")))
+            [gauss(ca, wa) for ca, wa in zip(c, w)], depth)))
     if dim >= 2:
         out.append(("tensor-bump", _separable(
-            [gauss(0.5, 0.15)] + [cos_sq] * (dim - 1), depth, "tensor-bump")))
+            [gauss(0.5, 0.15)] + [cos_sq] * (dim - 1), depth)))
     for i in range(2):
         pieces = 5
         shape = (2 ** depth,) * dim
@@ -313,13 +311,12 @@ def standard_corpus(dim, depth, seed, banks=None, block_level=None):
             hi = [int(rng.integers(l + 1, 2 ** depth + 1)) for l in lo]
             sel = tuple(slice(l, h) for l, h in zip(lo, hi))
             data[sel] += rng.standard_normal()
-        out.append((f"step-{i}",
-                    GridFunction(data, depth, (0,) * dim, meta=f"step-{i}")))
+        out.append((f"step-{i}", GridFunction(data, depth, (0,) * dim)))
 
     def chirp(*xs):
         r2 = sum(np.asarray(x) ** 2 for x in xs)
         return np.sin(24.0 * r2)
-    out.append(("chirp", sample(chirp, depth, box, meta="chirp")))
+    out.append(("chirp", sample(chirp, depth, box)))
 
     if banks is not None and block_level is not None:
         assignment = mrand.banks_for(banks, dim)
@@ -380,7 +377,8 @@ def _entry_records(args):
     (fid, f, p_list, assignment, max_level, trials, seed, index, cache) = args
     t0 = time.perf_counter()
     filters = "+".join(b.bank_id for b in assignment)
-    nf2 = lp_norm(f, 2)
+    # the L2 norm for the zero test rides on the same pass as the others
+    nf2, *nf = lp_norms(f, [2.0, *p_list])
     if nf2 == 0.0:
         return [RatioRecord(
             function_id=fid, filters=filters, dim=f.dim,
@@ -389,7 +387,6 @@ def _entry_records(args):
             status="skipped", reason="zero norm") for p in p_list]
     # each operator output is reduced to its norms at once, so at most one
     # of them is alive at a time
-    nf = lp_norms(f, p_list)
     nsf = lp_norms(square_function(f, max_level, assignment, cache), p_list)
     tail = lp_norms(
         f - mrand.project_nd(f, (max_level,) * f.dim, assignment, cache),

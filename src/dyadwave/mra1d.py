@@ -217,8 +217,7 @@ def project(f, level, bank, cache=None):
     coeffs, nu_min = analyze_rows(f.data[None, :], f.origin[0], f.depth,
                                   level, bank, cache)
     rows, origin = synthesize_rows(coeffs, nu_min, level, bank, f.depth, cache)
-    return GridFunction(rows[0], f.depth, (origin,),
-                        meta=f"project[{bank.bank_id},k={level}]")
+    return GridFunction(rows[0], f.depth, (origin,))
 
 
 def detail(f, level, bank, cache=None):

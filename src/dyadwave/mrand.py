@@ -17,8 +17,8 @@ import numpy as np
 
 from . import mra1d, refinable
 from .errors import AxisOutOfRange
-from .gridfn import (GridFunction, box_range, pattern_parity, pattern_within,
-                     sign_patterns)
+from .gridfn import (GridFunction, _as_tuple, box_range, pattern_parity,
+                     pattern_within, sign_patterns)
 
 # side of the square tiles of a transposing row copy, in elements
 LAYOUT_TILE = 64
@@ -105,15 +105,11 @@ def apply_axis(base, f, axis):
     """
     rows, back = axis_layout(f.data, f.origin, axis)
     data, origin = back(*base.apply_rows(rows, f.origin[axis], f.depth))
-    return GridFunction(data, f.depth, origin, f.meta)
+    return GridFunction(data, f.depth, origin)
 
 
 def _levels_tuple(levels, dim):
-    if np.isscalar(levels):
-        levels = (int(levels),) * dim
-    levels = tuple(int(k) for k in levels)
-    if len(levels) != dim:
-        raise ValueError(f"{len(levels)} levels for dimension {dim}")
+    levels = _as_tuple(levels, dim)
     if any(k < 0 for k in levels):
         raise ValueError(f"levels must be nonnegative, got {levels}")
     return levels
@@ -121,7 +117,7 @@ def _levels_tuple(levels, dim):
 
 def _axis_sums(f, data, origin, axis, weights, banks, cache):
     if axis == f.dim:
-        yield GridFunction(data, f.depth, origin, f.meta)
+        yield GridFunction(data, f.depth, origin)
         return
     rows, back = axis_layout(data, origin, axis)
     sums = mra1d.level_sums(rows, origin[axis], f.depth, weights[axis],

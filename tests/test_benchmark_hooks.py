@@ -8,7 +8,7 @@ them breaks a traced benchmark run.  The file is read here, never edited.
 import importlib.util
 from pathlib import Path
 
-from dyadwave import cli, mrand, refinable  # noqa: F401 (cli: all modules)
+from dyadwave import cli, czd, mrand, refinable  # cli imports every module
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,3 +41,16 @@ def test_cascade_measure_reads_derivative_values(haar):
     table = refinable.cascade(haar, "primal", 3)
     assert spans.MEASURES["refinable.cascade"]((), table) == (
         table.values.nbytes / spans.MB)
+
+
+def test_cz_decompose_measure_counts_cubes():
+    # cz-dense --trace 1 reports czd.cz_decompose.cubes from this measure
+    f = cli._cz_corpus_member(10, 0)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        dec = czd.cz_decompose(f, 1.0)
+    finally:
+        tracer.uninstall()
+    assert dec.cubes
+    assert tracer.totals(0)["czd.cz_decompose"]["amount"] == len(dec.cubes)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,8 @@ def test_no_cube_above_sup():
     dec = czd.cz_decompose(chi, 2.0)
     assert dec.cubes == ()
     assert np.array_equal(dec.good.data, chi.data)
-    assert dec.bad_parts == ()
+    assert dec.bad.box() == dec.good.box()
+    assert not np.abs(dec.bad.data).any()
 
 
 def test_single_unit_cube():
@@ -32,7 +35,7 @@ def test_single_unit_cube():
     dec = czd.cz_decompose(chi, 0.5)
     assert [(c.scale, c.index) for c in dec.cubes] == [(0, 0)]
     assert dec.averages == (1.0,)
-    assert max(np.abs(p.data).max() for p in dec.bad_parts) == 0.0
+    assert np.abs(dec.bad.data).max() == 0.0
     assert all(c.passed for c in czd.verify_cz(dec, chi))
     assert dec.mes_w == 1.0  # alpha^-1 * ||f||_1 = 2 bounds it
 
@@ -130,10 +133,7 @@ def test_randomized_suite(seed):
 def test_reconstruction_bitlevel(rng):
     f = spiky(10, 99)
     dec = czd.cz_decompose(f, gf.l1_norm(f) / 3)
-    recon = dec.good
-    for part in dec.bad_parts:
-        recon = recon + part
-    assert np.abs((recon - f).data).max() <= 1e-12
+    assert np.abs((dec.good + dec.bad - f).data).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -193,18 +193,16 @@ def oracle_decompose(f, alpha):
         g_lo, g_hi = min(g_lo, lo), max(g_hi, hi)
     g_data = np.zeros(g_hi - g_lo, dtype=data.dtype)
     g_data[origin - g_lo:origin - g_lo + size] = data
-    bad_parts = []
+    bad = np.zeros_like(g_data)
     for cube, avg in zip(cubes, averages):
         lo, hi = cube.grid_range(depth)
-        bad_parts.append(gf.GridFunction(
-            g_data[lo - g_lo:hi - g_lo] - avg, depth, (lo,),
-            meta=f"bad[{cube.scale},{cube.index}]"))
+        bad[lo - g_lo:hi - g_lo] = g_data[lo - g_lo:hi - g_lo] - avg
         g_data[lo - g_lo:hi - g_lo] = avg
     return czd.CZDecomposition(
         alpha=float(alpha), cubes=tuple(cubes), averages=tuple(averages),
         abs_averages=tuple(abs_averages),
-        good=gf.GridFunction(g_data, depth, (g_lo,), meta="good"),
-        bad_parts=tuple(bad_parts), root_exponent=m)
+        good=gf.GridFunction(g_data, depth, (g_lo,)),
+        bad=gf.GridFunction(bad, depth, (g_lo,)), root_exponent=m)
 
 
 def oracle_verify(dec, f):
@@ -218,10 +216,7 @@ def oracle_verify(dec, f):
     checks = []
     eps = 1e-12
 
-    recon = dec.good
-    for part in dec.bad_parts:
-        recon = recon + part
-    diff = recon - f
+    diff = dec.good + dec.bad - f
     worst = float(np.abs(diff.data).max())
     checks.append(Check("reconstruction", worst <= 1e-12, worst, 1e-12))
 
@@ -272,13 +267,22 @@ def oracle_verify(dec, f):
     g2 = gf.lp_norm(dec.good, 2) ** 2
     checks.append(Check("good_l2", g2 <= 2 * alpha * norm1 * (1 + eps), g2,
                         2 * alpha * norm1))
+    # h_Q is dec.bad on the cells of Q within its box
+    b_lo, n = dec.bad.origin[0], dec.bad.shape[0]
+    in_w = np.zeros(n, dtype=bool)
     mean_worst, l1_ok, l1_worst_ratio = 0.0, True, 0.0
-    for cube, part in zip(dec.cubes, dec.bad_parts):
-        mean_worst = max(mean_worst,
-                         abs(float(np.sum(part.data.real)) * cell))
-        mass = float(np.abs(part.data).sum()) * cell
+    for cube in dec.cubes:
+        lo, hi = cube.grid_range(depth)
+        ia, ib = min(max(lo - b_lo, 0), n), min(max(hi - b_lo, 0), n)
+        in_w[ia:ib] = True
+        part = dec.bad.data[ia:ib]
+        mean_worst = max(mean_worst, abs(float(np.sum(part.real)) * cell))
+        mass = float(np.abs(part).sum()) * cell
         l1_worst_ratio = max(l1_worst_ratio, mass / (alpha * cube.width))
         l1_ok = l1_ok and mass <= 4 * alpha * cube.width * (1 + eps)
+    off_w = np.abs(dec.bad.data[~in_w])
+    worst_off = float(off_w.max()) if off_w.size else 0.0
+    checks.append(Check("bad_support", worst_off <= 0.0, worst_off, 0.0))
     checks.append(Check("bad_mean_zero", mean_worst <= 1e-12 * max(norm1, 1.0),
                         mean_worst, 1e-12 * max(norm1, 1.0)))
     checks.append(Check("bad_l1", l1_ok, l1_worst_ratio, 4.0,
@@ -321,9 +325,8 @@ def assert_same_as_oracle(f, alpha):
     assert got.root_exponent == want.root_exponent
     assert _float_bits(got.averages) == _float_bits(want.averages)
     assert _float_bits(got.abs_averages) == _float_bits(want.abs_averages)
-    for a, b in zip((got.good,) + got.bad_parts,
-                    (want.good,) + want.bad_parts, strict=True):
-        assert (a.origin, a.meta) == (b.origin, b.meta)
+    for a, b in ((got.good, want.good), (got.bad, want.bad)):
+        assert a.origin == b.origin
         assert a.data.tobytes() == b.data.tobytes()
     checks = czd.verify_cz(got, f)
     assert [repr(c) for c in checks] == [
@@ -399,7 +402,7 @@ def test_verify_recomputes_averages():
         alpha=dec.alpha, cubes=dec.cubes,
         averages=tuple(0.0 for _ in dec.averages),
         abs_averages=tuple(1e9 for _ in dec.abs_averages), good=dec.good,
-        bad_parts=dec.bad_parts, root_exponent=dec.root_exponent)
+        bad=dec.bad, root_exponent=dec.root_exponent)
     assert czd.verify_cz(forged, f) == czd.verify_cz(dec, f)
 
 
@@ -409,11 +412,62 @@ def test_verify_flags_overlapping_cubes():
     overlap = czd.CZDecomposition(
         alpha=0.5, cubes=(czd.Cube(0, 0), czd.Cube(1, 1)),
         averages=(1.0, 1.0), abs_averages=(1.0, 1.0), good=dec.good,
-        bad_parts=dec.bad_parts, root_exponent=0)
+        bad=dec.bad, root_exponent=0)
     checks = {c.name: c for c in czd.verify_cz(overlap, f)}
     want = {c.name: c for c in oracle_verify(overlap, f)}
     assert not checks["disjoint"].passed
     assert repr(checks) == repr(want)
+
+
+def test_decompose_builds_two_grid_functions(monkeypatch):
+    f = cli._cz_corpus_member(16, 1803)
+    built = []
+    real_init = gf.GridFunction.__post_init__
+
+    def counting(self):
+        built.append(1)
+        real_init(self)
+
+    monkeypatch.setattr(gf.GridFunction, "__post_init__", counting)
+    dec = czd.cz_decompose(f, 2.0)
+    assert len(dec.cubes) > 1000
+    assert len(built) == 2  # good and bad
+
+
+def _moved_to_bad(dec, cells, delta):
+    """dec with delta moved from good to bad on the cells of their box."""
+    good, bad = dec.good.data.copy(), dec.bad.data.copy()
+    good[cells] -= delta
+    bad[cells] += delta
+    return dataclasses.replace(
+        dec, good=gf.GridFunction(good, dec.good.depth, dec.good.origin),
+        bad=gf.GridFunction(bad, dec.bad.depth, dec.bad.origin))
+
+
+def _failed(dec, f):
+    return [c.name for c in czd.verify_cz(dec, f) if not c.passed]
+
+
+def test_verify_flags_bad_part_off_w():
+    f = spiky(8, 3)
+    dec = czd.cz_decompose(f, gf.l1_norm(f))
+    b_lo, in_w = dec.bad.origin[0], np.zeros(dec.bad.shape[0], dtype=bool)
+    for cube in dec.cubes:
+        lo, hi = cube.grid_range(f.depth)
+        in_w[lo - b_lo:hi - b_lo] = True
+    assert dec.cubes and not in_w.all()
+    cell = np.flatnonzero(~in_w)[0]
+    assert _failed(dec, f) == []
+    assert _failed(_moved_to_bad(dec, cell, 1e-6), f) == ["bad_support"]
+
+
+def test_verify_flags_bad_part_with_nonzero_mean():
+    f = spiky(8, 3)
+    dec = czd.cz_decompose(f, gf.l1_norm(f))
+    lo, hi = dec.cubes[0].grid_range(f.depth)
+    b_lo = dec.bad.origin[0]
+    forged = _moved_to_bad(dec, slice(lo - b_lo, hi - b_lo), 1e-6)
+    assert _failed(forged, f) == ["bad_mean_zero"]
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +503,7 @@ def test_marcinkiewicz_degenerate_f():
     wide = czd.CZDecomposition(
         alpha=0.5, cubes=(czd.Cube(-4, -1), czd.Cube(-4, 0)),
         averages=(1.0, 1.0), abs_averages=(1.0, 1.0), good=dec.good,
-        bad_parts=(), root_exponent=4)
+        bad=dec.bad, root_exponent=4)
     with pytest.raises(DegenerateF):
         czd.marcinkiewicz_integral(wide, chi, radius=8.0)
 

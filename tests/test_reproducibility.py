@@ -227,8 +227,7 @@ def _strided(a):
 def test_golden_bytes_from_moved_inputs(registry, layout, jobs, tmp_path):
     for tag, cfg in SWEEP_CONFIGS.items():
         bank = registry[cfg["bank"]]
-        corpus = [(fid, gf.GridFunction(layout(f.data), f.depth, f.origin,
-                                        f.meta))
+        corpus = [(fid, gf.GridFunction(layout(f.data), f.depth, f.origin))
                   for fid, f in lp.standard_corpus(
                       cfg["dim"], cfg["depths"][0], CORPUS_SEED, banks=bank,
                       block_level=cfg["level"])]
