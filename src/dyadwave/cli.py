@@ -287,6 +287,9 @@ def cmd_lp_sweep(args, config):
         args, config, "plot", True, bool) is False
     if any(p <= 1 or not np.isfinite(p) for p in p_list):
         raise ValueError(f"p values must lie in (1, inf): {p_list}")
+    if max_level < 0 or trials < 0:
+        raise ValueError("max_level and trials must be nonnegative, got "
+                         f"{max_level} and {trials}")
     if depth - max_level < mra1d.LEVEL_HEADROOM:
         raise ValueError("headroom violated: depth - max_level < "
                          f"{mra1d.LEVEL_HEADROOM}")

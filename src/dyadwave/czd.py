@@ -9,7 +9,9 @@ alpha.  Halving at most doubles an average, so every selected cube Q has
 
 the complement W of the closed set F satisfies |W| <= ||f||_1 / alpha, and
 the good/bad split g = f on F, g = average on each Q, h_Q = (f - avg) chi_Q
-has mean-zero bad parts.  The bad parts are stored as one grid function
+has mean-zero bad parts.  The selected cubes are one (n, 2) integer array
+of (scale, index) rows, row (s, i) standing for [i 2^-s, (i+1) 2^-s),
+sorted by left end.  The bad parts are stored as one grid function
 ``bad`` = f - g on the good part's box: h_Q is ``bad`` on Q, and ``bad``
 is exactly 0.0 on F.  All sums are exact cell sums on the grid, so the
 inequalities hold with the dyadic constants, not just asymptotically.
@@ -21,6 +23,7 @@ are differences of one prefix-sum table, looked up for the whole scale at
 once.  Only children of cubes that meet the support are ever live, so a
 function of n cells gives O(n + m + depth) live cubes in all, and the
 decomposition and its verification take time linear in cells and cubes.
+Python loops run over scales, cube lengths and components, never cubes.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlphaTooSmall, DegenerateF, DepthMismatch
 from .gridfn import GridFunction, l1_norm, lp_norm
@@ -40,44 +44,28 @@ _INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
-class Cube:
-    """Dyadic interval [index * 2**-scale, (index+1) * 2**-scale)."""
-
-    scale: int
-    index: int
-
-    @property
-    def width(self):
-        return 2.0 ** (-self.scale)
-
-    def grid_range(self, depth):
-        span = 1 << (depth - self.scale) if depth >= self.scale else None
-        if span is None:
-            raise ValueError("cube finer than the grid")
-        return self.index * span, (self.index + 1) * span
-
-    def parent(self):
-        return Cube(self.scale - 1, self.index >> 1)
-
-
-@dataclass(frozen=True)
 class CZDecomposition:
     alpha: float
-    cubes: tuple           # of Cube
-    averages: tuple        # signed f-average over each cube
-    abs_averages: tuple    # average of |f| over each cube
+    cubes: np.ndarray      # (n, 2) rows (scale, index), sorted by left end;
+                           # int64, or object where grid coordinates reach
+                           # 2**62 (the stopping time's Python-int case)
+    averages: np.ndarray   # float64 signed f-average over each cube
     good: GridFunction
     bad: GridFunction      # f - g on good's box; h_Q is bad on Q, 0.0 on F
     root_exponent: int
 
     @property
     def mes_w(self):
-        return float(sum(c.width for c in self.cubes))
+        # the cube widths 2^-scale, added in cube order by Python's sum
+        widths = np.ldexp(1.0, -self.cubes[:, 0].astype(np.int64))
+        return float(sum(widths.tolist()))
 
 
 def _real_data(f):
     if f.dim != 1:
         raise ValueError(f"decomposition is one-dimensional, got d={f.dim}")
+    if not np.iscomplexobj(f.data):
+        return f.data
     if f.data.size and np.abs(f.data.imag).max() > 1e-12 * max(
             1.0, np.abs(f.data.real).max()):
         raise ValueError("decomposition requires a real-valued function")
@@ -112,26 +100,19 @@ def _offsets(x, base, count):
     return x.astype(np.intp, copy=False)
 
 
-def _index_array(values):
-    """Grid coordinates as int64, or as Python ints where int64 is short."""
-    if all(-_INT64_SAFE < v < _INT64_SAFE for v in values):
-        return np.array(values, dtype=np.int64)
-    return np.array(values, dtype=object)
-
-
 def _stopping_time(mass_of, integral_of, alpha, depth, m):
     """Maximal dyadic cubes in [-2^m, 2^m) whose |f| average exceeds alpha.
 
-    Returns the cubes sorted by left end, their signed averages, their
-    |f| averages and their grid ranges [lo, hi) as two integer arrays.
-    Only one scale's arrays are alive at a time.
+    Returns the (scale, index) rows sorted by left end, their signed
+    averages and their grid ranges [lo, hi) as two integer arrays.  Only
+    one scale's arrays are alive at a time.
     """
     # the two halves of the root are the dyadic intervals [-2^m, 0) and
     # [0, 2^m); their stopping-time parent is the root, average <= alpha.
     # Every grid coordinate below lies within the root, |x| <= 2^(depth+m)
     fits = (1 << (depth + m)) < _INT64_SAFE
     live = np.array([-1, 0], dtype=np.int64 if fits else object)
-    picked = []     # per scale: left ends, scales, indices, averages, |avgs|
+    picked = []     # per scale: lo, hi, scales, indices, signed averages
     for s in range(-m, depth + 1):
         span = 1 << (depth - s)
         width = 2.0 ** (-s)
@@ -143,7 +124,7 @@ def _stopping_time(mass_of, integral_of, alpha, depth, m):
             lo_q = lo[chosen]
             signed = integral_of(lo_q, lo_q + span) / width
             picked.append((lo_q, lo_q + span, np.full(lo_q.size, s),
-                           live[chosen], signed, avg[chosen]))
+                           live[chosen], signed))
         # a single cell with average <= alpha belongs to F
         parents = live[(mass != 0.0) & ~chosen]
         if s == depth or not parents.size:
@@ -151,14 +132,12 @@ def _stopping_time(mass_of, integral_of, alpha, depth, m):
         live = np.repeat(2 * parents, 2)
         live[1::2] += 1
     if not picked:
-        return [], [], [], live[:0], live[:0]
-    lefts, rights, scales, indices, avgs, abs_avgs = (
+        return np.empty((0, 2), live.dtype), np.empty(0), live[:0], live[:0]
+    lefts, rights, scales, indices, avgs = (
         np.concatenate(column) for column in zip(*picked))
     # disjoint cubes have distinct left ends, so this order is unique
     order = np.argsort(lefts, kind="stable")
-    cubes = [Cube(s, i) for s, i in zip(scales[order].tolist(),
-                                        indices[order].tolist())]
-    return (cubes, avgs[order].tolist(), abs_avgs[order].tolist(),
+    return (np.stack([scales, indices], axis=1)[order], avgs[order],
             lefts[order], rights[order])
 
 
@@ -189,15 +168,15 @@ def cz_decompose(f, alpha):
                 f"root average stays above alpha={alpha} up to exponent "
                 f"{MAX_ROOT_EXPONENT}")
 
-    cubes, averages, abs_averages, lo, hi = _stopping_time(
+    cubes, averages, lo, hi = _stopping_time(
         _PrefixSums(np.abs(data), origin, cell),
         _PrefixSums(data, origin, cell), alpha, depth, m)
 
     # good and bad parts live on the union of the f-box and every selected
     # cube.  The cubes are disjoint and sorted, so W's cells in order take
     # their cube's average from one repeat
-    g_lo = min(origin, int(lo[0])) if cubes else origin
-    g_hi = max(origin + size, int(hi[-1])) if cubes else origin + size
+    g_lo = min(origin, int(lo[0])) if lo.size else origin
+    g_hi = max(origin + size, int(hi[-1])) if lo.size else origin + size
     g_data = np.zeros(g_hi - g_lo)
     g_data[origin - g_lo:origin - g_lo + size] = data
     w = _covered(lo, hi, g_lo, g_data.size)
@@ -206,8 +185,7 @@ def cz_decompose(f, alpha):
     bad[w] = g_data[w] - cell_avg
     g_data[w] = cell_avg
     return CZDecomposition(
-        alpha=float(alpha), cubes=tuple(cubes), averages=tuple(averages),
-        abs_averages=tuple(abs_averages),
+        alpha=float(alpha), cubes=cubes, averages=averages,
         good=GridFunction(g_data, depth, (g_lo,)),
         bad=GridFunction(bad, depth, (g_lo,)), root_exponent=m)
 
@@ -226,10 +204,15 @@ class Check:
 
 
 def _cube_ranges(cubes, depth):
-    """Grid ranges [lo, hi) of the cubes as two integer arrays, by lo."""
-    ranges = sorted(c.grid_range(depth) for c in cubes)
-    return (_index_array([lo for lo, _ in ranges]),
-            _index_array([hi for _, hi in ranges]))
+    """Grid ranges [lo, hi) of the (scale, index) rows as two integer
+    arrays of the rows' dtype, sorted by lo."""
+    scales, index = cubes[:, 0], cubes[:, 1]
+    if (scales > depth).any():
+        raise ValueError("cube finer than the grid")
+    span = np.left_shift(1, depth - scales)
+    lo = index * span
+    order = np.argsort(lo, kind="stable")
+    return lo[order], (lo + span)[order]
 
 
 def _components(lo, hi):
@@ -248,17 +231,6 @@ def _covered(lo, hi, base, count):
     edges = (np.bincount(_offsets(lo, base, count), minlength=count + 1)
              - np.bincount(_offsets(hi, base, count), minlength=count + 1))
     return np.cumsum(edges[:-1]) > 0
-
-
-def distance_to_f(dec, depth):
-    """rho(., F) at the cell midpoints of W, component by component."""
-    starts, ends = _components(*_cube_ranges(dec.cubes, depth))
-    cell = 2.0 ** (-depth)
-    out = {}
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        mids = (np.arange(lo, hi) + 0.5) * cell
-        out[(lo, hi)] = np.minimum(mids - lo * cell, hi * cell - mids)
-    return out
 
 
 def verify_cz(dec, f):
@@ -316,7 +288,7 @@ def verify_cz(dec, f):
     p_lo = lo - lo % (2 * span)
     parent_avgs = mass_of(p_lo, p_lo + 2 * span) / (2 * widths)
     parent_ok = not bool(np.any(parent_avgs > alpha * (1 + eps)))
-    if dec.cubes:
+    if lo.size:
         avg_lo, avg_hi = float(avgs.min()), float(avgs.max())
         checks.append(Check("cube_avg_above", avg_lo > alpha * (1 - eps),
                             avg_lo, alpha, note="strict lower bound"))
@@ -334,21 +306,26 @@ def verify_cz(dec, f):
     checks.append(Check("good_l2", g2 <= 2 * alpha * norm1 * (1 + eps), g2,
                         2 * alpha * norm1))
 
-    # bad parts: support, zero mean, L1 bound; h_Q is bad on Q
+    # bad parts: support, zero mean, L1 bound; h_Q is bad on Q.  The cubes
+    # of one clipped length are gathered as the rows of one C-contiguous
+    # array; each row's sum has the bits of np.sum over the cube's slice
     b_data = dec.bad.data
     b_lo, b_n = dec.bad.origin[0], b_data.size
     off_w = np.abs(b_data[~_covered(lo, hi, b_lo, b_n)])
     worst_off = float(off_w.max()) if off_w.size else 0.0
     checks.append(Check("bad_support", worst_off <= 0.0, worst_off, 0.0))
-    mean_worst, l1_ok, l1_worst_ratio = 0.0, True, 0.0
-    for ia, ib, width in zip(_offsets(lo, b_lo, b_n).tolist(),
-                             _offsets(hi, b_lo, b_n).tolist(),
-                             widths.tolist()):
-        part = b_data[ia:ib]
-        mean_worst = max(mean_worst, abs(float(np.sum(part.real)) * cell))
-        mass = float(np.abs(part).sum()) * cell
-        l1_worst_ratio = max(l1_worst_ratio, mass / (alpha * width))
-        l1_ok = l1_ok and mass <= 4 * alpha * width * (1 + eps)
+    offsets = _offsets(lo, b_lo, b_n)
+    lengths = _offsets(hi, b_lo, b_n) - offsets
+    sums, masses = np.empty(lo.size), np.empty(lo.size)
+    for length in np.unique(lengths).tolist():
+        pick = lengths == length
+        rows = sliding_window_view(b_data, length)[offsets[pick]]
+        sums[pick] = rows.real.sum(axis=1)
+        masses[pick] = np.abs(rows).sum(axis=1)
+    mean_worst = float(np.max(np.abs(sums * cell), initial=0.0))
+    masses *= cell
+    l1_worst_ratio = float(np.max(masses / (alpha * widths), initial=0.0))
+    l1_ok = bool(np.all(masses <= 4 * alpha * widths * (1 + eps)))
     checks.append(Check("bad_mean_zero", mean_worst <= 1e-12 * max(norm1, 1.0),
                         mean_worst, 1e-12 * max(norm1, 1.0)))
     checks.append(Check("bad_l1", l1_ok, l1_worst_ratio, 4.0,
@@ -357,7 +334,7 @@ def verify_cz(dec, f):
     # distance comparability: measured, report-only.  rho(., F) rises from
     # the left end of each component and falls toward its right end, so its
     # least value on a cube is at the cube's first or last cell
-    if dec.cubes:
+    if lo.size:
         starts, ends = _components(lo, hi)
         k = np.searchsorted(starts, lo, side="right") - 1
         c_lo, c_hi = starts[k], ends[k]
@@ -387,16 +364,20 @@ def marcinkiewicz_integral(dec, f, radius):
     if radius < 8 * diam:
         raise ValueError(
             f"radius {radius} below 8 * support diameter {diam}")
-    rho = distance_to_f(dec, depth)
-    if not rho:
+    lo, hi = _cube_ranges(dec.cubes, depth)
+    if not lo.size:
         return 0.0, 0.0, 0.0
-    u_pos = np.concatenate([(np.arange(lo, hi) + 0.5) * cell
-                            for lo, hi in rho])
-    u_rho = np.concatenate(list(rho.values()))
+    # rho(., F) at the cell midpoints of W, component by component
+    u_pos, u_rho = [], []
+    for c_lo, c_hi in zip(*(a.tolist() for a in _components(lo, hi))):
+        mids = (np.arange(c_lo, c_hi) + 0.5) * cell
+        u_pos.append(mids)
+        u_rho.append(np.minimum(mids - c_lo * cell, c_hi * cell - mids))
+    u_pos, u_rho = np.concatenate(u_pos), np.concatenate(u_rho)
 
     x_lo = int(np.floor(-radius * scale))
     x_hi = int(np.ceil(radius * scale))
-    in_w = _covered(*_cube_ranges(dec.cubes, depth), x_lo, x_hi - x_lo)
+    in_w = _covered(lo, hi, x_lo, x_hi - x_lo)
     x_idx = x_lo + np.flatnonzero(~in_w)
     if x_idx.size == 0:
         raise DegenerateF("no F cells inside the truncation window")
@@ -444,8 +425,9 @@ def write_cubes_csv(dec, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\r\n")
         w.writerow(["scale", "index", "average"])
-        for cube, avg in zip(dec.cubes, dec.averages):
-            w.writerow([cube.scale, cube.index, repr(float(avg))])
+        for (scale, index), avg in zip(dec.cubes.tolist(),
+                                       dec.averages.tolist()):
+            w.writerow([scale, index, repr(avg)])
 
 
 def format_report(dec, checks):

@@ -52,5 +52,5 @@ def test_cz_decompose_measure_counts_cubes():
         dec = czd.cz_decompose(f, 1.0)
     finally:
         tracer.uninstall()
-    assert dec.cubes
+    assert len(dec.cubes)
     assert tracer.totals(0)["czd.cz_decompose"]["amount"] == len(dec.cubes)

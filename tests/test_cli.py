@@ -156,6 +156,16 @@ def test_lp_sweep_bad_p_list(tmp_path, capsys):
     assert "p values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--max-level", "--trials"])
+def test_lp_sweep_negative_level_or_trials(flag, tmp_path, capsys):
+    rc = run(["lp-sweep", "--banks", "haar", "--depth", "9", flag, "-1",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nonnegative" in err
+    assert not (tmp_path / "ratios.csv").exists()
+
+
 def test_allocation_failure_exits_2(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 333. MiB")

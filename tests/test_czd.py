@@ -17,6 +17,27 @@ def spiky(depth, seed):
     return gf.GridFunction(data + 0j, depth, (int(rng.integers(-n, n)),))
 
 
+# the oracle's own arithmetic on (scale, index) pairs
+
+
+def grid_range(cube, depth):
+    scale, index = cube
+    span = 1 << (depth - scale)
+    return index * span, (index + 1) * span
+
+
+def width(cube):
+    return 2.0 ** (-cube[0])
+
+
+def parent(cube):
+    return cube[0] - 1, cube[1] >> 1
+
+
+def cube_list(dec):
+    return [tuple(c) for c in dec.cubes.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # worked examples
 
@@ -24,7 +45,7 @@ def spiky(depth, seed):
 def test_no_cube_above_sup():
     chi = gf.indicator(10, ((0.0, 1.0),))
     dec = czd.cz_decompose(chi, 2.0)
-    assert dec.cubes == ()
+    assert dec.cubes.shape == (0, 2) and dec.averages.shape == (0,)
     assert np.array_equal(dec.good.data, chi.data)
     assert dec.bad.box() == dec.good.box()
     assert not np.abs(dec.bad.data).any()
@@ -33,8 +54,8 @@ def test_no_cube_above_sup():
 def test_single_unit_cube():
     chi = gf.indicator(10, ((0.0, 1.0),))
     dec = czd.cz_decompose(chi, 0.5)
-    assert [(c.scale, c.index) for c in dec.cubes] == [(0, 0)]
-    assert dec.averages == (1.0,)
+    assert cube_list(dec) == [(0, 0)]
+    assert dec.averages.tolist() == [1.0]
     assert np.abs(dec.bad.data).max() == 0.0
     assert all(c.passed for c in czd.verify_cz(dec, chi))
     assert dec.mes_w == 1.0  # alpha^-1 * ||f||_1 = 2 bounds it
@@ -44,7 +65,9 @@ def test_tall_spike_doubling_bound():
     f = gf.sample(lambda x: np.where(x < 0.25, 4.0, 0.0), 10, ((0.0, 1.0),))
     dec = czd.cz_decompose(f, 0.5)
     assert len(dec.cubes) == 1
-    avg = dec.abs_averages[0]
+    (cube,) = cube_list(dec)
+    lo, hi = (max(x - f.origin[0], 0) for x in grid_range(cube, f.depth))
+    avg = np.abs(f.data[lo:hi]).sum() * 2.0 ** -f.depth / width(cube)
     assert 0.5 < avg <= 2 * 0.5  # strict lower, doubling upper
     assert all(c.passed for c in czd.verify_cz(dec, f))
 
@@ -62,6 +85,14 @@ def test_preconditions():
     f2 = gf.indicator(8, ((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="one-dimensional"):
         czd.cz_decompose(f2, 1.0)
+
+
+def test_real_data_is_read_in_place():
+    f = cli._cz_corpus_member(8, 0)
+    assert f.data.dtype == np.float64
+    assert czd._real_data(f) is f.data
+    nearly_real = gf.GridFunction(f.data + 1e-14j, 8, f.origin)
+    assert np.array_equal(czd._real_data(nearly_real), f.data)
 
 
 def test_alpha_too_small():
@@ -114,7 +145,7 @@ def test_against_bruteforce_scan(seed):
     norm1 = gf.l1_norm(f)
     for alpha in (norm1 / 4, norm1, 4 * norm1):
         dec = czd.cz_decompose(f, alpha)
-        got = sorted((c.scale, c.index) for c in dec.cubes)
+        got = sorted(cube_list(dec))
         want = bruteforce_stopping_time(f, alpha, dec.root_exponent)
         assert got == want
 
@@ -165,42 +196,40 @@ def oracle_decompose(f, alpha):
     while total_abs / (2.0 ** (m + 1)) > alpha:
         m += 1
 
-    cubes, averages, abs_averages = [], [], []
-    stack = [czd.Cube(-m, -1), czd.Cube(-m, 0)]
+    cubes, averages = [], []
+    stack = [(-m, -1), (-m, 0)]
     while stack:
         cube = stack.pop()
-        lo, hi = cube.grid_range(depth)
+        lo, hi = grid_range(cube, depth)
         mass = integral(lo, hi, prefix_abs)
         if mass == 0.0:
             continue
-        avg = mass / cube.width
-        if avg > alpha:
+        if mass / width(cube) > alpha:
             cubes.append(cube)
-            averages.append(integral(lo, hi, prefix) / cube.width)
-            abs_averages.append(avg)
-        elif cube.scale < depth:
-            stack.append(czd.Cube(cube.scale + 1, 2 * cube.index))
-            stack.append(czd.Cube(cube.scale + 1, 2 * cube.index + 1))
+            averages.append(integral(lo, hi, prefix) / width(cube))
+        elif cube[0] < depth:
+            stack.append((cube[0] + 1, 2 * cube[1]))
+            stack.append((cube[0] + 1, 2 * cube[1] + 1))
 
-    order = sorted(range(len(cubes)), key=lambda i: cubes[i].grid_range(depth)[0])
+    order = sorted(range(len(cubes)),
+                   key=lambda i: grid_range(cubes[i], depth)[0])
     cubes = [cubes[i] for i in order]
     averages = [averages[i] for i in order]
-    abs_averages = [abs_averages[i] for i in order]
 
     g_lo, g_hi = origin, origin + size
     for cube in cubes:
-        lo, hi = cube.grid_range(depth)
+        lo, hi = grid_range(cube, depth)
         g_lo, g_hi = min(g_lo, lo), max(g_hi, hi)
     g_data = np.zeros(g_hi - g_lo, dtype=data.dtype)
     g_data[origin - g_lo:origin - g_lo + size] = data
     bad = np.zeros_like(g_data)
     for cube, avg in zip(cubes, averages):
-        lo, hi = cube.grid_range(depth)
+        lo, hi = grid_range(cube, depth)
         bad[lo - g_lo:hi - g_lo] = g_data[lo - g_lo:hi - g_lo] - avg
         g_data[lo - g_lo:hi - g_lo] = avg
     return czd.CZDecomposition(
-        alpha=float(alpha), cubes=tuple(cubes), averages=tuple(averages),
-        abs_averages=tuple(abs_averages),
+        alpha=float(alpha), cubes=np.array(cubes, dtype=object).reshape(-1, 2),
+        averages=np.array(averages, dtype=np.float64),
         good=gf.GridFunction(g_data, depth, (g_lo,)),
         bad=gf.GridFunction(bad, depth, (g_lo,)), root_exponent=m)
 
@@ -213,6 +242,7 @@ def oracle_verify(dec, f):
     cell = 2.0 ** (-depth)
     alpha = dec.alpha
     norm1 = gf.l1_norm(f)
+    cubes = cube_list(dec)
     checks = []
     eps = 1e-12
 
@@ -221,8 +251,8 @@ def oracle_verify(dec, f):
     checks.append(Check("reconstruction", worst <= 1e-12, worst, 1e-12))
 
     w_mask = np.zeros(data.size, dtype=bool)
-    for cube in dec.cubes:
-        lo, hi = cube.grid_range(depth)
+    for cube in cubes:
+        lo, hi = grid_range(cube, depth)
         ia, ib = max(lo - origin, 0), min(hi - origin, data.size)
         if ib > ia:
             w_mask[ia:ib] = True
@@ -230,10 +260,10 @@ def oracle_verify(dec, f):
     worst_f = float(f_vals.max()) if f_vals.size else 0.0
     checks.append(Check("good_bound_on_f", worst_f <= alpha * (1 + eps),
                         worst_f, alpha))
-    mes_w = dec.mes_w
+    mes_w = float(sum(width(cube) for cube in cubes))
     checks.append(Check("mes_w", mes_w <= norm1 / alpha * (1 + eps), mes_w,
                         norm1 / alpha))
-    ranges = sorted(c.grid_range(depth) for c in dec.cubes)
+    ranges = sorted(grid_range(cube, depth) for cube in cubes)
     disjoint = all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:]))
     checks.append(Check("disjoint", disjoint, 0.0 if disjoint else 1.0, 0.0))
 
@@ -245,15 +275,14 @@ def oracle_verify(dec, f):
         return float(prefix_abs[ib] - prefix_abs[ia]) if ib > ia else 0.0
 
     avg_lo, avg_hi, parent_ok = np.inf, 0.0, True
-    for cube in dec.cubes:
-        lo, hi = cube.grid_range(depth)
-        avg = integral(lo, hi) / cube.width
+    for cube in cubes:
+        lo, hi = grid_range(cube, depth)
+        avg = integral(lo, hi) / width(cube)
         avg_lo, avg_hi = min(avg_lo, avg), max(avg_hi, avg)
-        par = cube.parent()
-        plo, phi = par.grid_range(depth)
-        if integral(plo, phi) / par.width > alpha * (1 + eps):
+        plo, phi = grid_range(parent(cube), depth)
+        if integral(plo, phi) / width(parent(cube)) > alpha * (1 + eps):
             parent_ok = False
-    if dec.cubes:
+    if cubes:
         checks.append(Check("cube_avg_above", avg_lo > alpha * (1 - eps),
                             avg_lo, alpha, note="strict lower bound"))
         checks.append(Check("cube_avg_doubling",
@@ -267,28 +296,9 @@ def oracle_verify(dec, f):
     g2 = gf.lp_norm(dec.good, 2) ** 2
     checks.append(Check("good_l2", g2 <= 2 * alpha * norm1 * (1 + eps), g2,
                         2 * alpha * norm1))
-    # h_Q is dec.bad on the cells of Q within its box
-    b_lo, n = dec.bad.origin[0], dec.bad.shape[0]
-    in_w = np.zeros(n, dtype=bool)
-    mean_worst, l1_ok, l1_worst_ratio = 0.0, True, 0.0
-    for cube in dec.cubes:
-        lo, hi = cube.grid_range(depth)
-        ia, ib = min(max(lo - b_lo, 0), n), min(max(hi - b_lo, 0), n)
-        in_w[ia:ib] = True
-        part = dec.bad.data[ia:ib]
-        mean_worst = max(mean_worst, abs(float(np.sum(part.real)) * cell))
-        mass = float(np.abs(part).sum()) * cell
-        l1_worst_ratio = max(l1_worst_ratio, mass / (alpha * cube.width))
-        l1_ok = l1_ok and mass <= 4 * alpha * cube.width * (1 + eps)
-    off_w = np.abs(dec.bad.data[~in_w])
-    worst_off = float(off_w.max()) if off_w.size else 0.0
-    checks.append(Check("bad_support", worst_off <= 0.0, worst_off, 0.0))
-    checks.append(Check("bad_mean_zero", mean_worst <= 1e-12 * max(norm1, 1.0),
-                        mean_worst, 1e-12 * max(norm1, 1.0)))
-    checks.append(Check("bad_l1", l1_ok, l1_worst_ratio, 4.0,
-                        note="ratio to alpha * |Q|"))
+    checks += oracle_bad_checks(dec, f)
 
-    if dec.cubes:
+    if cubes:
         merged = []
         for lo, hi in ranges:
             if merged and lo <= merged[-1][1]:
@@ -296,14 +306,14 @@ def oracle_verify(dec, f):
             else:
                 merged.append([lo, hi])
         ratios = []
-        for cube in dec.cubes:
-            lo, hi = cube.grid_range(depth)
+        for cube in cubes:
+            lo, hi = grid_range(cube, depth)
             for clo, chi in merged:
                 if clo <= lo and hi <= chi:
                     mids = (np.arange(clo, chi) + 0.5) * cell
                     dists = np.minimum(mids - clo * cell, chi * cell - mids)
                     ratios.append(float(dists[lo - clo:hi - clo].min())
-                                  / cube.width)
+                                  / width(cube))
                     break
         checks.append(Check("distance_ratio_min", True, min(ratios),
                             note="measured c3, not asserted"))
@@ -312,19 +322,43 @@ def oracle_verify(dec, f):
     return checks
 
 
-def _float_bits(values):
-    assert all(type(v) is float for v in values)
-    return np.array(values, dtype=np.float64).tobytes()
+def oracle_bad_checks(dec, f):
+    """bad_support, bad_mean_zero and bad_l1 by two np.sum calls per cube;
+    h_Q is dec.bad on the cells of Q within its box."""
+    Check = czd.Check
+    cell = 2.0 ** (-f.depth)
+    alpha = dec.alpha
+    norm1 = gf.l1_norm(f)
+    eps = 1e-12
+    b_lo, n = dec.bad.origin[0], dec.bad.shape[0]
+    in_w = np.zeros(n, dtype=bool)
+    mean_worst, l1_ok, l1_worst_ratio = 0.0, True, 0.0
+    for cube in cube_list(dec):
+        lo, hi = grid_range(cube, f.depth)
+        ia, ib = min(max(lo - b_lo, 0), n), min(max(hi - b_lo, 0), n)
+        in_w[ia:ib] = True
+        part = dec.bad.data[ia:ib]
+        mean_worst = max(mean_worst, abs(float(np.sum(part.real)) * cell))
+        mass = float(np.abs(part).sum()) * cell
+        l1_worst_ratio = max(l1_worst_ratio, mass / (alpha * width(cube)))
+        l1_ok = l1_ok and mass <= 4 * alpha * width(cube) * (1 + eps)
+    off_w = np.abs(dec.bad.data[~in_w])
+    worst_off = float(off_w.max()) if off_w.size else 0.0
+    return [Check("bad_support", worst_off <= 0.0, worst_off, 0.0),
+            Check("bad_mean_zero", mean_worst <= 1e-12 * max(norm1, 1.0),
+                  mean_worst, 1e-12 * max(norm1, 1.0)),
+            Check("bad_l1", l1_ok, l1_worst_ratio, 4.0,
+                  note="ratio to alpha * |Q|")]
 
 
 def assert_same_as_oracle(f, alpha):
     got, want = czd.cz_decompose(f, alpha), oracle_decompose(f, alpha)
-    assert got.cubes == want.cubes
-    assert all(type(c.scale) is int and type(c.index) is int
-               for c in got.cubes)
+    assert got.cubes.dtype == np.int64 and got.cubes.shape == (
+        len(want.cubes), 2)
+    assert got.cubes.tolist() == want.cubes.tolist()
     assert got.root_exponent == want.root_exponent
-    assert _float_bits(got.averages) == _float_bits(want.averages)
-    assert _float_bits(got.abs_averages) == _float_bits(want.abs_averages)
+    assert got.averages.dtype == np.float64
+    assert got.averages.tobytes() == want.averages.tobytes()
     for a, b in ((got.good, want.good), (got.bad, want.bad)):
         assert a.origin == b.origin
         assert a.data.tobytes() == b.data.tobytes()
@@ -345,8 +379,8 @@ def test_matches_oracle_on_cz_corpus():
             dec, checks = assert_same_as_oracle(f, alpha)
             assert all(c.passed for c in checks), (seed, alpha)
             grown |= dec.root_exponent > cover
-            single_cell |= any(c.scale == depth for c in dec.cubes)
-            empty |= not dec.cubes
+            single_cell |= bool((dec.cubes[:, 0] == depth).any())
+            empty |= not len(dec.cubes)
     assert signs == {False, True}
     assert grown and single_cell and empty
 
@@ -361,19 +395,17 @@ def test_matches_oracle_on_spiky(seed):
 
 def test_matches_oracle_beyond_int64_coordinates():
     # a support far from 0 needs a root beyond int64 grid coordinates; the
-    # index arrays then fall back to Python ints.  Left ends there are not
-    # exact floats, so the oracle's float sort key cannot order the cubes:
-    # compare cube by cube, and the order against the exact left ends
+    # cube rows then fall back to Python ints.  Compare cube by cube, and
+    # the order against the exact left ends
     rng = np.random.default_rng(7)
     f = gf.GridFunction(rng.standard_normal(12) + 0j, 40, (3 << 60,))
     got, want = czd.cz_decompose(f, 0.5), oracle_decompose(f, 0.5)
     assert got.root_exponent + f.depth > 61 and len(got.cubes) > 1
-    lefts = [c.grid_range(f.depth)[0] for c in got.cubes]
+    assert got.cubes.dtype == object
+    lefts = [grid_range(cube, f.depth)[0] for cube in cube_list(got)]
     assert lefts == sorted(lefts)
-    assert (sorted(zip(got.cubes, got.averages, got.abs_averages),
-                   key=lambda t: (t[0].scale, t[0].index))
-            == sorted(zip(want.cubes, want.averages, want.abs_averages),
-                      key=lambda t: (t[0].scale, t[0].index)))
+    assert (sorted(zip(cube_list(got), got.averages.tolist()))
+            == sorted(zip(cube_list(want), want.averages.tolist())))
     assert got.good.data.tobytes() == want.good.data.tobytes()
     assert all(c.passed for c in czd.verify_cz(got, f))
 
@@ -398,11 +430,7 @@ def test_verify_builds_one_reconstruction(monkeypatch):
 def test_verify_recomputes_averages():
     f = spiky(8, 3)
     dec = czd.cz_decompose(f, gf.l1_norm(f))
-    forged = czd.CZDecomposition(
-        alpha=dec.alpha, cubes=dec.cubes,
-        averages=tuple(0.0 for _ in dec.averages),
-        abs_averages=tuple(1e9 for _ in dec.abs_averages), good=dec.good,
-        bad=dec.bad, root_exponent=dec.root_exponent)
+    forged = dataclasses.replace(dec, averages=np.zeros_like(dec.averages))
     assert czd.verify_cz(forged, f) == czd.verify_cz(dec, f)
 
 
@@ -410,13 +438,44 @@ def test_verify_flags_overlapping_cubes():
     f = gf.indicator(6, ((0.0, 1.0),))
     dec = czd.cz_decompose(f, 0.5)
     overlap = czd.CZDecomposition(
-        alpha=0.5, cubes=(czd.Cube(0, 0), czd.Cube(1, 1)),
-        averages=(1.0, 1.0), abs_averages=(1.0, 1.0), good=dec.good,
-        bad=dec.bad, root_exponent=0)
+        alpha=0.5, cubes=np.array([[0, 0], [1, 1]]),
+        averages=np.array([1.0, 1.0]), good=dec.good, bad=dec.bad,
+        root_exponent=0)
     checks = {c.name: c for c in czd.verify_cz(overlap, f)}
     want = {c.name: c for c in oracle_verify(overlap, f)}
     assert not checks["disjoint"].passed
     assert repr(checks) == repr(want)
+
+
+def test_verify_reads_cube_rows_in_any_order():
+    f = cli._cz_corpus_member(10, 0)
+    dec = czd.cz_decompose(f, 3.0)
+    assert len(dec.cubes) > 50
+    flipped = dataclasses.replace(dec, cubes=dec.cubes[::-1],
+                                  averages=dec.averages[::-1])
+    assert [repr(c) for c in czd.verify_cz(flipped, f)] == [
+        repr(c) for c in czd.verify_cz(dec, f)]
+
+
+def test_verify_rejects_cube_finer_than_grid():
+    f = gf.indicator(6, ((0.0, 1.0),))
+    dec = czd.cz_decompose(f, 0.5)
+    fine = dataclasses.replace(dec, cubes=np.array([[0, 0], [7, 3]]),
+                               averages=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="finer than the grid"):
+        czd.verify_cz(fine, f)
+
+
+def test_verify_bad_sums_match_per_cube_loop():
+    # cubes of every length from 1 cell up, summed a length at a time
+    f = cli._cz_corpus_member(16, 3)
+    dec = czd.cz_decompose(f, 2.0)
+    assert len(dec.cubes) > 7_000
+    assert len(set(dec.cubes[:, 0].tolist())) > 5
+    checks = [c for c in czd.verify_cz(dec, f)
+              if c.name in ("bad_support", "bad_mean_zero", "bad_l1")]
+    assert [repr(c) for c in checks] == [
+        repr(c) for c in oracle_bad_checks(dec, f)]
 
 
 def test_decompose_builds_two_grid_functions(monkeypatch):
@@ -452,10 +511,10 @@ def test_verify_flags_bad_part_off_w():
     f = spiky(8, 3)
     dec = czd.cz_decompose(f, gf.l1_norm(f))
     b_lo, in_w = dec.bad.origin[0], np.zeros(dec.bad.shape[0], dtype=bool)
-    for cube in dec.cubes:
-        lo, hi = cube.grid_range(f.depth)
+    for cube in cube_list(dec):
+        lo, hi = grid_range(cube, f.depth)
         in_w[lo - b_lo:hi - b_lo] = True
-    assert dec.cubes and not in_w.all()
+    assert len(dec.cubes) and not in_w.all()
     cell = np.flatnonzero(~in_w)[0]
     assert _failed(dec, f) == []
     assert _failed(_moved_to_bad(dec, cell, 1e-6), f) == ["bad_support"]
@@ -464,7 +523,7 @@ def test_verify_flags_bad_part_off_w():
 def test_verify_flags_bad_part_with_nonzero_mean():
     f = spiky(8, 3)
     dec = czd.cz_decompose(f, gf.l1_norm(f))
-    lo, hi = dec.cubes[0].grid_range(f.depth)
+    lo, hi = grid_range(cube_list(dec)[0], f.depth)
     b_lo = dec.bad.origin[0]
     forged = _moved_to_bad(dec, slice(lo - b_lo, hi - b_lo), 1e-6)
     assert _failed(forged, f) == ["bad_mean_zero"]
@@ -501,9 +560,9 @@ def test_marcinkiewicz_degenerate_f():
     chi = gf.indicator(8, ((0.0, 1.0),))
     dec = czd.cz_decompose(chi, 0.5)
     wide = czd.CZDecomposition(
-        alpha=0.5, cubes=(czd.Cube(-4, -1), czd.Cube(-4, 0)),
-        averages=(1.0, 1.0), abs_averages=(1.0, 1.0), good=dec.good,
-        bad=dec.bad, root_exponent=4)
+        alpha=0.5, cubes=np.array([[-4, -1], [-4, 0]]),
+        averages=np.array([1.0, 1.0]), good=dec.good, bad=dec.bad,
+        root_exponent=4)
     with pytest.raises(DegenerateF):
         czd.marcinkiewicz_integral(wide, chi, radius=8.0)
 

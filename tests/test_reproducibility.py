@@ -6,22 +6,26 @@ under settings that change numpy's SIMD loops and the BLAS kernel, and
 in-process from misaligned and strided inputs; every variant must give the
 committed golden bytes.  The ``cz`` command's reports and cube CSVs must
 not change with numpy's SIMD target either, nor the checksum of any
-shipped table with the BLAS kernel.  Run as a script, this module
-writes criterion 8's CSVs into a directory, which is how ``tests/golden``
-is regenerated:
+shipped table with the BLAS kernel, and the ``cz`` bytes must match the
+sha256 of each file committed in ``tests/golden/cz-d10.sha256``.  Run as a
+script, this module writes criterion 8's CSVs and the ``cz`` hashes into a
+directory, which is how ``tests/golden`` is regenerated:
 
     PYTHONPATH=src python tests/test_reproducibility.py tests/golden
 
 Over existing files it prints, per column, the rows that changed, the
-largest change in units in the last place and the largest relative change.
+largest change in units in the last place and the largest relative change,
+and the name of every ``cz`` file whose hash changed.
 """
 
 import csv
+import hashlib
 import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +148,8 @@ def test_golden_bytes_in_subprocess(settings, tmp_path):
     subprocess.run([sys.executable, __file__, str(tmp_path)],
                    env=_subprocess_env(settings), check=True, timeout=600)
     _assert_golden(tmp_path)
+    assert _changed(_read_hashes(CZ_HASHES),
+                    _read_hashes(tmp_path / CZ_HASHES.name)) == []
 
 
 def _subprocess_env(settings):
@@ -180,6 +186,44 @@ def test_cz_bytes_in_subprocess(cz_default, disabled, tmp_path):
         tmp_path, {"NPY_DISABLE_CPU_FEATURES": " ".join(disabled)})
     assert len(got) == 60 and got.keys() == cz_default.keys()
     assert [n for n in got if got[n] != cz_default[n]] == []
+
+
+CZ_HASHES = GOLDEN_DIR / "cz-d10.sha256"
+
+
+def _cz_hashes(artifacts):
+    """{file name: sha256 hex digest} of the cz artifacts."""
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in artifacts.items()}
+
+
+def _read_hashes(path):
+    """{file name: digest} of a file in sha256sum's format."""
+    return {name: digest for digest, name in
+            (line.split("  ", 1) for line in path.read_text().splitlines())}
+
+
+def _changed(old, new):
+    """Names whose digest differs or that only one side has."""
+    return sorted(n for n in old.keys() | new.keys()
+                  if old.get(n) != new.get(n))
+
+
+def write_cz_hashes(out_dir):
+    """Write the cz run's hashes as ``cz-d10.sha256``; returns the names
+    whose hash changed over an existing file."""
+    path = Path(out_dir) / CZ_HASHES.name
+    old = _read_hashes(path) if path.exists() else None
+    with tempfile.TemporaryDirectory() as tmp:
+        new = _cz_hashes(_cz_artifacts(tmp, {}))
+    path.write_text("".join(f"{new[n]}  {n}\n" for n in sorted(new)))
+    return [] if old is None else _changed(old, new)
+
+
+def test_cz_bytes_match_golden_hashes(cz_default):
+    want = _read_hashes(CZ_HASHES)
+    assert len(want) == 60
+    assert _changed(want, _cz_hashes(cz_default)) == []
 
 
 _PRINT_CHECKSUMS = """
@@ -246,3 +290,5 @@ def test_golden_bytes_from_moved_inputs(registry, layout, jobs, tmp_path):
 if __name__ == "__main__":
     for line in write_first_depth_csvs(sys.argv[1]):
         print(line)
+    for name in write_cz_hashes(sys.argv[1]):
+        print(f"{CZ_HASHES.name} {name} changed")
