@@ -7,15 +7,17 @@ in-process from misaligned and strided inputs; every variant must give the
 committed golden bytes.  The ``cz`` command's reports and cube CSVs must
 not change with numpy's SIMD target either, nor the checksum of any
 shipped table with the BLAS kernel, and the ``cz`` bytes must match the
-sha256 of each file committed in ``tests/golden/cz-d10.sha256``.  Run as a
-script, this module writes criterion 8's CSVs and the ``cz`` hashes into a
+sha256 of each file committed in ``tests/golden/cz-d10.sha256``.  The
+checksum of every shipped primal and dual table at depths 12 and 19 must
+match ``tests/golden/tables.sha256``.  Run as a script, this module writes
+criterion 8's CSVs, the ``cz`` hashes and the table checksums into a
 directory, which is how ``tests/golden`` is regenerated:
 
     PYTHONPATH=src python tests/test_reproducibility.py tests/golden
 
 Over existing files it prints, per column, the rows that changed, the
 largest change in units in the last place and the largest relative change,
-and the name of every ``cz`` file whose hash changed.
+and the name of every ``cz`` file and table whose hash changed.
 """
 
 import csv
@@ -250,6 +252,35 @@ def test_table_checksums_in_subprocess():
     assert _table_checksums(NEHALEM) == want
 
 
+TABLE_HASHES = GOLDEN_DIR / "tables.sha256"
+TABLE_DEPTHS = (12, 19)
+
+
+def _table_hashes():
+    """{'bank-which-Ldepth': checksum} of every shipped primal and dual
+    table at the golden depths."""
+    return {f"{bank_id}-{which}-L{depth}":
+            refinable.cascade(bank, which, depth).checksum
+            for bank_id, bank in sorted(refinable.load_registry().items())
+            for which in ("primal", "dual") for depth in TABLE_DEPTHS}
+
+
+def write_table_hashes(out_dir):
+    """Write the table checksums as ``tables.sha256``; returns the names
+    whose checksum changed over an existing file."""
+    path = Path(out_dir) / TABLE_HASHES.name
+    old = _read_hashes(path) if path.exists() else None
+    new = _table_hashes()
+    path.write_text("".join(f"{new[n]}  {n}\n" for n in sorted(new)))
+    return [] if old is None else _changed(old, new)
+
+
+def test_tables_match_golden_hashes(registry):
+    want = _read_hashes(TABLE_HASHES)
+    assert len(want) == 2 * len(TABLE_DEPTHS) * len(registry)
+    assert _changed(want, _table_hashes()) == []
+
+
 def _misaligned(a):
     """Copy of a whose data starts 8 bytes past a 64-byte boundary."""
     buf = np.empty(a.nbytes + 64, dtype=np.uint8)
@@ -292,3 +323,5 @@ if __name__ == "__main__":
         print(line)
     for name in write_cz_hashes(sys.argv[1]):
         print(f"{CZ_HASHES.name} {name} changed")
+    for name in write_table_hashes(sys.argv[1]):
+        print(f"{TABLE_HASHES.name} {name} changed")
