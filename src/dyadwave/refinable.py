@@ -130,7 +130,7 @@ class DyadicTable:
 
 
 def _payload_checksum(values):
-    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(values)).hexdigest()
 
 
 def mask_digest(bank):
@@ -224,23 +224,20 @@ def _integer_vector(bank, which):
 
 
 def _subdivide(mask, start, levels):
-    """Run the two-scale subdivision from integer values down `levels` times."""
+    """Run the two-scale subdivision from integer values down `levels` times.
+
+    Odd point j of the finer level takes tap n from v[j - n * 2**lev], so
+    each tap adds one step-2 slice of v; taps are added in ascending n.
+    """
     v = start
     m = mask.support_length
     h = mask.array()
     for lev in range(levels):
-        size = v.size
-        out = np.empty(2 * size - 1)
+        out = np.zeros(2 * v.size - 1)
         out[0::2] = v
-        acc = np.zeros(size - 1)
-        jj = np.arange(1, 2 * size - 1, 2)
-        base = mask.n_first * (1 << lev)
         for n in range(m + 1):
-            src = base + jj - (n + mask.n_first) * (1 << lev)
-            ok = (src >= 0) & (src < size)
-            if ok.any():
-                acc[ok] += SQRT2 * h[n] * v[src[ok]]
-        out[1::2] = acc
+            s = n << lev
+            out[s | 1:s + v.size:2] += SQRT2 * h[n] * v[(s | 1) - s::2]
         v = out
     return v
 

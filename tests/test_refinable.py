@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,57 @@ def test_cascade_depth_bounds(haar):
         refinable.cascade(haar, "primal", 0)
     with pytest.raises(DepthOverflow):
         refinable.cascade(haar, "primal", 25)
+
+
+def reference_subdivision(bank, which, depth):
+    """Tables at depths 1..depth by the refinement relation, point by point.
+
+    Each odd point x of the finer grid is sqrt(2) * sum_n h[n] phi(2x - n)
+    over the taps whose argument lies in the support, summed in ascending
+    n from 0.0; even points keep the coarser value.
+    """
+    mask = bank.mask(which)
+    h = [float(c) for c in mask.coeffs]
+    v = [float(x) for x in refinable._integer_vector(bank, which)]
+    tables = []
+    for lev in range(depth):
+        out = []
+        for j in range(2 * len(v) - 1):
+            if j % 2 == 0:
+                out.append(v[j // 2])
+                continue
+            acc = 0.0
+            for n, hn in enumerate(h):
+                # 2x - (n_first + n) on the coarser grid, as an index
+                src = j - (n << lev)
+                if 0 <= src < len(v):
+                    acc += SQRT2 * hn * v[src]
+            out.append(acc)
+        v = out
+        tables.append(np.array(v))
+    return tables
+
+
+def test_subdivision_matches_pointwise_reference(registry):
+    for bank in registry.values():
+        for which in ("primal", "dual"):
+            ref = reference_subdivision(bank, which, 8)
+            for depth, want in enumerate(ref, start=1):
+                got = refinable.cascade(bank, which, depth).values
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)), (
+                    bank.bank_id, which, depth)
+
+
+def test_cascade_peak_memory(db4):
+    # the last level holds the coarser table, the finer one and one product
+    # a quarter of the table's size: 1.75 table bytes
+    refinable.cascade(db4, "primal", 1)
+    tracemalloc.start()
+    table = refinable.cascade(db4, "primal", 16)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= 2.0 * table.values.nbytes
 
 
 def test_db2_refinement_residual_independent_summation(db2):
