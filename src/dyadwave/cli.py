@@ -347,13 +347,15 @@ def _cz_corpus_member(depth, seed):
 
 def cmd_cz(args, config):
     depth = _setting(args, config, "depth", 10, int)
-    seeds = _str_list(_setting(args, config, "seeds", "0 1 2 3 4"))
+    seeds = [int(s) for s in _str_list(_setting(args, config, "seeds", "0 1 2 3 4"))]
     alphas = _float_list(_setting(args, config, "alphas", "0.1 0.3 1.0 3.0 10.0"))
+    if depth < 0 or any(seed < 0 for seed in seeds):
+        raise ValueError("depth and seeds must be nonnegative, got "
+                         f"{depth} and {seeds}")
     out = _out_dir(args, config)
     failures = 0
     runs = 0
-    for seed_text in seeds:
-        seed = int(seed_text)
+    for seed in seeds:
         f = _cz_corpus_member(depth, seed)
         for alpha in alphas:
             runs += 1

@@ -143,8 +143,8 @@ def _stopping_time(mass_of, integral_of, alpha, depth, m):
 
 def cz_decompose(f, alpha):
     """Split f at level alpha into good and mean-zero bad parts."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     data = _real_data(f)
     depth = f.depth
     origin = f.origin[0]

@@ -254,6 +254,28 @@ def test_cz_suite_and_report(tmp_path, capsys):
     assert "cz: " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, value", [("--depth", "-1"),
+                                         ("--seeds", "0,-1")])
+def test_cz_negative_depth_or_seed(flag, value, tmp_path, capsys):
+    args = {"--depth": "9", "--seeds": "0", flag: value}
+    rc = run(["cz", *(x for kv in args.items() for x in kv),
+              "--alphas", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nonnegative" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0"])
+def test_cz_non_finite_alpha(alpha, tmp_path, capsys):
+    rc = run(["cz", "--depth", "9", "--seeds", "0", f"--alphas={alpha}",
+              "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha must be positive" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_report_missing_dir(tmp_path, capsys):
     rc = run(["report", "--out", str(tmp_path / "nope")])
     assert rc == 2

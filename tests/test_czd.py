@@ -95,6 +95,13 @@ def test_real_data_is_read_in_place():
     assert np.array_equal(czd._real_data(nearly_real), f.data)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+def test_alpha_outside_open_half_line_rejected(alpha):
+    chi = gf.indicator(8, ((0.0, 1.0),))
+    with pytest.raises(ValueError, match="positive and finite"):
+        czd.cz_decompose(chi, alpha)
+
+
 def test_alpha_too_small():
     chi = gf.indicator(8, ((0.0, 1.0),))
     with pytest.raises(AlphaTooSmall):
