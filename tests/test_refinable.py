@@ -194,7 +194,7 @@ def test_subdivision_matches_pointwise_reference(registry):
 def test_cascade_peak_memory(db4):
     # the last level holds the coarser table, the finer one and one product
     # a quarter of the table's size: 1.75 table bytes
-    refinable.cascade(db4, "primal", 1)
+    refinable.cascade(db4, "primal", 1)  # imports fractions untraced
     tracemalloc.start()
     table = refinable.cascade(db4, "primal", 16)
     _, peak = tracemalloc.get_traced_memory()

@@ -211,15 +211,20 @@ def _changed(old, new):
                   if old.get(n) != new.get(n))
 
 
+def _write_hashes(path, new):
+    """Write {name: digest} in sha256sum's format; returns the names whose
+    digest changed over an existing file."""
+    old = _read_hashes(path) if path.exists() else None
+    path.write_text("".join(f"{new[n]}  {n}\n" for n in sorted(new)))
+    return [] if old is None else _changed(old, new)
+
+
 def write_cz_hashes(out_dir):
     """Write the cz run's hashes as ``cz-d10.sha256``; returns the names
     whose hash changed over an existing file."""
-    path = Path(out_dir) / CZ_HASHES.name
-    old = _read_hashes(path) if path.exists() else None
     with tempfile.TemporaryDirectory() as tmp:
         new = _cz_hashes(_cz_artifacts(tmp, {}))
-    path.write_text("".join(f"{new[n]}  {n}\n" for n in sorted(new)))
-    return [] if old is None else _changed(old, new)
+    return _write_hashes(Path(out_dir) / CZ_HASHES.name, new)
 
 
 def test_cz_bytes_match_golden_hashes(cz_default):
@@ -268,11 +273,7 @@ def _table_hashes():
 def write_table_hashes(out_dir):
     """Write the table checksums as ``tables.sha256``; returns the names
     whose checksum changed over an existing file."""
-    path = Path(out_dir) / TABLE_HASHES.name
-    old = _read_hashes(path) if path.exists() else None
-    new = _table_hashes()
-    path.write_text("".join(f"{new[n]}  {n}\n" for n in sorted(new)))
-    return [] if old is None else _changed(old, new)
+    return _write_hashes(Path(out_dir) / TABLE_HASHES.name, _table_hashes())
 
 
 def test_tables_match_golden_hashes(registry):
