@@ -230,14 +230,12 @@ def _subdivide(mask, start, levels):
     each tap adds one step-2 slice of v; taps are added in ascending n.
     """
     v = start
-    m = mask.support_length
-    h = mask.array()
     for lev in range(levels):
         out = np.zeros(2 * v.size - 1)
         out[0::2] = v
-        for n in range(m + 1):
+        for n, hn in enumerate(mask.array()):
             s = n << lev
-            out[s | 1:s + v.size:2] += SQRT2 * h[n] * v[(s | 1) - s::2]
+            out[s | 1:s + v.size:2] += SQRT2 * hn * v[(s | 1) - s::2]
         v = out
     return v
 
