@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -20,8 +19,6 @@ import numpy as np
 
 from . import czd, gridfn, lpharness, mra1d, mrand, refinable
 from .errors import DyadwaveError, ParseError
-
-CACHE_ENV = "DYADWAVE_CACHE"
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -54,6 +51,18 @@ def _setting(args, config, key, default, cast=str):
     return cast(value)
 
 
+def _positive(name, value):
+    """value if it lies in (0, inf); ValueError otherwise, NaN included."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _tolerance_scale(args, config):
+    return _positive("tolerance scale",
+                     _setting(args, config, "tolerance_scale", 1.0, float))
+
+
 def _float_list(text):
     return [float(tok) for tok in _str_list(text)]
 
@@ -73,11 +82,6 @@ def _load_banks(ids, registry_dir):
     return banks
 
 
-def _cache(args, config):
-    directory = _setting(args, config, "cache", os.environ.get(CACHE_ENV))
-    return refinable.TableCache(directory) if directory else refinable.DEFAULT_CACHE
-
-
 def _out_dir(args, config):
     out = Path(_setting(args, config, "out", "out"))
     out.mkdir(parents=True, exist_ok=True)
@@ -91,7 +95,7 @@ def _out_dir(args, config):
 def cmd_filters(args, config):
     registry_dir = _setting(args, config, "registry", None)
     depth = _setting(args, config, "depth", 12, int)
-    scale = _setting(args, config, "tolerance_scale", 1.0, float)
+    scale = _tolerance_scale(args, config)
     directory = Path(registry_dir) if registry_dir else refinable.packaged_registry_dir()
     paths = sorted(directory.glob("*.txt"))
     if not paths:
@@ -131,10 +135,7 @@ def cmd_table(args, config):
     which = _setting(args, config, "which", "primal")
     depth = _setting(args, config, "depth", 12, int)
     (bank,) = _load_banks([bank_id], registry_dir)
-    cache = _cache(args, config)
-    if cache.directory is None:
-        cache = refinable.TableCache(_out_dir(args, config))
-    table = cache.get(bank, which, depth)
+    table = refinable.DEFAULT_CACHE.get(bank, which, depth)
     print(f"{bank.bank_id}/{which} depth={depth} points={len(table.values)} "
           f"checksum={table.checksum[:16]}")
     return EXIT_OK
@@ -144,7 +145,7 @@ def cmd_table(args, config):
 # identities
 
 
-def _identity_battery(banks, dim, depth, max_level, seed, cache):
+def _identity_battery(banks, dim, depth, max_level, seed):
     """Measured residuals for the projector identity suite, one dict each."""
     rng = np.random.default_rng(seed)
     assignment = mrand.banks_for(banks if len(banks) > 1 else banks[0], dim)
@@ -169,10 +170,9 @@ def _identity_battery(banks, dim, depth, max_level, seed, cache):
     # levels 1 and 2 where max_level allows, so no check asks for more
     k1, k2 = min(1, max_level), min(2, max_level)
     levels = sorted({0, k1, max_level})
-    proj = {k: mrand.project_nd(f, (k,) * dim, assignment, cache)
-            for k in levels}
+    proj = {k: mrand.project_nd(f, (k,) * dim, assignment) for k in levels}
     for k in levels:
-        again = mrand.project_nd(proj[k], (k,) * dim, assignment, cache)
+        again = mrand.project_nd(proj[k], (k,) * dim, assignment)
         add(f"idempotence_k{k}",
             gridfn.lp_norm(again - proj[k], 2) / nf, tol)
         del again
@@ -180,38 +180,36 @@ def _identity_battery(banks, dim, depth, max_level, seed, cache):
         for kp in levels:
             if kp >= k:
                 continue
-            low = mrand.project_nd(proj[k], (kp,) * dim, assignment, cache)
+            low = mrand.project_nd(proj[k], (kp,) * dim, assignment)
             add(f"nesting_k{kp}_{k}",
                 gridfn.lp_norm(low - proj[kp], 2) / nf, tol)
             del low
     for k in levels:
-        block_f = mrand.mixed_detail(f, (k,) * dim, assignment, cache=cache)
+        block_f = mrand.mixed_detail(f, (k,) * dim, assignment)
         for kp in levels:
             if kp >= k:
                 continue
-            block_g = mrand.mixed_detail(g, (kp,) * dim, assignment,
-                                         cache=cache)
+            block_g = mrand.mixed_detail(g, (kp,) * dim, assignment)
             add(f"block_orthogonality_k{kp}_{k}",
                 abs(gridfn.inner_product(block_f, block_g)) / (nf * ng), tol)
             del block_g
-        alt = mrand.mixed_detail(f, (k,) * dim, assignment,
-                                 form="alternating", cache=cache)
+        alt = mrand.mixed_detail(f, (k,) * dim, assignment, form="alternating")
         denom = gridfn.lp_norm(block_f, 2) or 1.0
         add(f"mixed_forms_k{k}",
             gridfn.lp_norm(alt - block_f, 2) / denom, 1e-9)
         del alt, block_f
-    pk = mrand.project_nd(g, (max_level,) * dim, assignment, cache)
+    pk = mrand.project_nd(g, (max_level,) * dim, assignment)
     add("self_adjoint",
         abs(gridfn.inner_product(proj[max_level], g)
             - gridfn.inner_product(f, pk)) / (nf * ng), tol)
     del pk, proj
-    ps = mrand.partial_sum(f, (k2,) * dim, assignment, cache)
-    pn = mrand.project_nd(f, (k2,) * dim, assignment, cache)
+    ps = mrand.partial_sum(f, (k2,) * dim, assignment)
+    pn = mrand.project_nd(f, (k2,) * dim, assignment)
     add("partial_sum_telescopes",
         gridfn.lp_norm(ps - pn, 2) / (gridfn.lp_norm(pn, 2) or 1.0), 1e-9)
     if dim >= 2:
-        e0 = mrand.LevelProjection(assignment[0], k1, cache)
-        e1 = mrand.LevelProjection(assignment[1], k2, cache)
+        e0 = mrand.LevelProjection(assignment[0], k1)
+        e1 = mrand.LevelProjection(assignment[1], k2)
         ab = mrand.apply_axis(e1, mrand.apply_axis(e0, f, 0), 1)
         ba = mrand.apply_axis(e0, mrand.apply_axis(e1, f, 1), 0)
         add("axis_commutation", gridfn.lp_norm(ab - ba, 2) / nf, 1e-10)
@@ -221,11 +219,11 @@ def _identity_battery(banks, dim, depth, max_level, seed, cache):
               + 1j * rng.standard_normal((n,) * dim))
     member = lpharness.synthesize_nd(coeffs, (0,) * dim,
                                      (min(3, max_level),) * dim,
-                                     assignment, depth, cache)
+                                     assignment, depth)
     nm2 = gridfn.lp_norm(member, 2) ** 2
     total, rec = 0.0, None
     for kvec in gridfn.box_range((min(3, max_level),) * dim):
-        blk = mrand.mixed_detail(member, kvec, assignment, cache=cache)
+        blk = mrand.mixed_detail(member, kvec, assignment)
         total += gridfn.lp_norm(blk, 2) ** 2
         rec = blk if rec is None else rec + blk
     add("parseval_synth", abs(nm2 - total) / nm2, tol)
@@ -241,7 +239,7 @@ def cmd_identities(args, config):
     depth = _setting(args, config, "depth", 10, int)
     max_level = _setting(args, config, "max_level", 4, int)
     seed = _setting(args, config, "seed", 0, int)
-    scale = _setting(args, config, "tolerance_scale", 1.0, float)
+    scale = _tolerance_scale(args, config)
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     if depth - max_level < mra1d.LEVEL_HEADROOM:
@@ -251,9 +249,8 @@ def cmd_identities(args, config):
     banks = _load_banks(bank_ids, registry_dir)
     if len(banks) not in (1, dim):
         raise ValueError(f"need 1 or {dim} banks, got {len(banks)}")
-    cache = _cache(args, config)
     out = _out_dir(args, config)
-    rows = _identity_battery(banks, dim, depth, max_level, seed, cache)
+    rows = _identity_battery(banks, dim, depth, max_level, seed)
     lines = []
     failures = 0
     for row in rows:
@@ -282,7 +279,7 @@ def cmd_lp_sweep(args, config):
     seed = _setting(args, config, "seed", 0, int)
     trials = _setting(args, config, "trials", 10, int)
     jobs = _setting(args, config, "jobs", 1, int)
-    scale = _setting(args, config, "tolerance_scale", 1.0, float)
+    scale = _tolerance_scale(args, config)
     no_plot = bool(getattr(args, "no_plot", False)) or _setting(
         args, config, "plot", True, bool) is False
     if any(p <= 1 or not np.isfinite(p) for p in p_list):
@@ -295,14 +292,13 @@ def cmd_lp_sweep(args, config):
                          f"{mra1d.LEVEL_HEADROOM}")
     banks = _load_banks(bank_ids, registry_dir)
     assignment = mrand.banks_for(banks if len(banks) > 1 else banks[0], dim)
-    cache = _cache(args, config)
     out = _out_dir(args, config)
     t0 = time.perf_counter()
     corpus = lpharness.standard_corpus(dim, depth, seed, banks=assignment,
                                        block_level=max_level)
     records, summary = lpharness.lp_sweep(
         corpus, p_list, assignment, max_level, trials=trials, seed=seed,
-        jobs=jobs, cache=cache)
+        jobs=jobs)
     lpharness.write_ratio_csv(records, out / "ratios.csv")
     lpharness.write_summary(summary, out / "summary.txt")
     if not no_plot:
@@ -348,7 +344,8 @@ def _cz_corpus_member(depth, seed):
 def cmd_cz(args, config):
     depth = _setting(args, config, "depth", 10, int)
     seeds = [int(s) for s in _str_list(_setting(args, config, "seeds", "0 1 2 3 4"))]
-    alphas = _float_list(_setting(args, config, "alphas", "0.1 0.3 1.0 3.0 10.0"))
+    alphas = [_positive("alpha", a) for a in _float_list(
+        _setting(args, config, "alphas", "0.1 0.3 1.0 3.0 10.0"))]
     if depth < 0 or any(seed < 0 for seed in seeds):
         raise ValueError("depth and seeds must be nonnegative, got "
                          f"{depth} and {seeds}")
@@ -410,58 +407,59 @@ def build_parser():
         prog="dyadwave",
         description="dyadic multiresolution experiment driver")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--out": {"help": "output directory (default: out)"},
+        "--registry": {"help": "filter registry directory"},
+        "--seed": {"type": int, "help": "base RNG seed"},
+        "--jobs": {"type": int, "help": "parallel corpus entries"},
+        "--tolerance-scale": {"type": float,
+                              "help": "multiply every tolerance by this factor"},
+        "--banks": {"help": "comma-separated bank ids"},
+        "--dim": {"type": int},
+        "--depth": {"type": int},
+        "--max-level": {"type": int},
+    }
 
-    def common(p):
+    def command(name, func, help, *flags):
+        """A subcommand with --config and the named shared flags."""
+        # no abbreviations: cz would read --seed as its --seeds
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="structured text config file")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--jobs", type=int, help="parallel corpus entries")
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--tolerance-scale", dest="tolerance_scale", type=float,
-                       help="multiply every tolerance by this factor")
-        p.add_argument("--cache", help=f"table cache dir (or ${CACHE_ENV})")
-        p.add_argument("--registry", help="filter registry directory")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    p = sub.add_parser("filters", help="validate a filter registry")
-    common(p)
+    p = command("filters", cmd_filters, "validate a filter registry",
+                "--registry", "--tolerance-scale")
     p.add_argument("--depth", type=int, help="quadrature depth (default 12)")
-    p.set_defaults(func=cmd_filters)
 
-    p = sub.add_parser("table", help="build or refresh a cached value table")
-    common(p)
+    p = command("table", cmd_table,
+                "print the size and checksum of a generator value table",
+                "--registry", "--depth")
     p.add_argument("--bank", help="bank id")
     p.add_argument("--which", choices=("primal", "dual"))
-    p.add_argument("--depth", type=int)
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("identities", help="projector identity suite")
-    common(p)
-    p.add_argument("--banks", help="comma-separated bank ids")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--max-level", dest="max_level", type=int)
-    p.set_defaults(func=cmd_identities)
+    # identities and cz read no --jobs; they accept it so that one flag set
+    # (perfbench/workloads.py) drives every command
+    experiment_flags = ("--out", "--registry", "--seed", "--jobs",
+                        "--tolerance-scale", "--banks", "--dim", "--depth",
+                        "--max-level")
+    command("identities", cmd_identities, "projector identity suite",
+            *experiment_flags)
 
-    p = sub.add_parser("lp-sweep", help="square-function / sign-operator sweep")
-    common(p)
-    p.add_argument("--banks", help="comma-separated bank ids")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--max-level", dest="max_level", type=int)
-    p.add_argument("--p-list", dest="p_list", help="comma-separated exponents")
+    p = command("lp-sweep", cmd_lp_sweep,
+                "square-function / sign-operator sweep", *experiment_flags)
+    p.add_argument("--p-list", help="comma-separated exponents")
     p.add_argument("--trials", type=int, help="random sign patterns per entry")
     p.add_argument("--no-plot", action="store_true", help="skip the SVG plot")
-    p.set_defaults(func=cmd_lp_sweep)
 
-    p = sub.add_parser("cz", help="dyadic decomposition suite")
-    common(p)
-    p.add_argument("--depth", type=int)
+    p = command("cz", cmd_cz, "dyadic decomposition suite",
+                "--out", "--jobs", "--depth")
     p.add_argument("--seeds", help="comma-separated seeds")
     p.add_argument("--alphas", help="comma-separated levels")
-    p.set_defaults(func=cmd_cz)
 
-    p = sub.add_parser("report", help="summarize artifacts in an out dir")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    command("report", cmd_report, "summarize artifacts in an out dir", "--out")
     return parser
 
 

@@ -97,7 +97,7 @@ class SignPattern:
 # block iteration and the square function
 
 
-def square_function(f, max_level, banks, cache=None):
+def square_function(f, max_level, banks):
     """Pointwise l2 aggregation of the detail blocks with levels <= max_level.
 
     Returns a nonnegative real-valued grid function; monotone in max_level
@@ -111,7 +111,7 @@ def square_function(f, max_level, banks, cache=None):
     mra1d._check_level(max_level, f.depth)
     weights = [mrand.detail_weights(k) for k in range(max_level + 1)]
     acc = None
-    for block in mrand.tensor_sums(f, [weights] * f.dim, banks, cache):
+    for block in mrand.tensor_sums(f, [weights] * f.dim, banks):
         if acc is None:
             # the first block, of level 0 on every axis, spans every later
             # block; 0 + |z|^2 has the bits of |z|^2
@@ -124,7 +124,7 @@ def square_function(f, max_level, banks, cache=None):
     return GridFunction(np.sqrt(acc, out=acc), f.depth, origin)
 
 
-def sign_operator(f, pattern, banks, cache=None):
+def sign_operator(f, pattern, banks):
     """Signed block sum  sum_k sigma_k (detail block)_k f, product signs only.
 
     Factorizes across axes: along each axis the signed detail sum telescopes
@@ -136,7 +136,7 @@ def sign_operator(f, pattern, banks, cache=None):
     if pattern.dim != f.dim:
         raise ValueError(f"pattern dimension {pattern.dim} != {f.dim}")
     weights = [np.subtract(row, row[1:] + (0,)) for row in pattern.axis_signs]
-    return mrand.tensor_level_sum(f, weights, banks, cache)
+    return mrand.tensor_level_sum(f, weights, banks)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def khintchine_check(a, p, exact_limit=16, mc_trials=200_000, seed=0):
 # standard corpus
 
 
-def synthesize_nd(coeffs, shift_firsts, levels, banks, depth, cache=None):
+def synthesize_nd(coeffs, shift_firsts, levels, banks, depth):
     """Tensor synthesis of a dense coefficient array at a level vector.
 
     One axis at a time; between axes a plain array holds coefficients,
@@ -246,7 +246,7 @@ def synthesize_nd(coeffs, shift_firsts, levels, banks, depth, cache=None):
     for axis, bank in enumerate(mrand.banks_for(banks, data.ndim)):
         rows, back = mrand.axis_layout(data, origin, axis)
         data, origin = back(*mra1d.synthesize_rows(
-            rows, origin[axis], levels[axis], bank, depth, cache))
+            rows, origin[axis], levels[axis], bank, depth))
     return GridFunction(data, depth, origin)
 
 
@@ -374,7 +374,7 @@ def write_ratio_csv(records, path):
 
 
 def _entry_records(args):
-    (fid, f, p_list, assignment, max_level, trials, seed, index, cache) = args
+    (fid, f, p_list, assignment, max_level, trials, seed, index) = args
     t0 = time.perf_counter()
     filters = "+".join(b.bank_id for b in assignment)
     # the L2 norm for the zero test rides on the same pass as the others
@@ -387,16 +387,14 @@ def _entry_records(args):
             status="skipped", reason="zero norm") for p in p_list]
     # each operator output is reduced to its norms at once, so at most one
     # of them is alive at a time
-    nsf = lp_norms(square_function(f, max_level, assignment, cache), p_list)
+    nsf = lp_norms(square_function(f, max_level, assignment), p_list)
     tail = lp_norms(
-        f - mrand.project_nd(f, (max_level,) * f.dim, assignment, cache),
-        p_list)
+        f - mrand.project_nd(f, (max_level,) * f.dim, assignment), p_list)
     rng = np.random.default_rng([seed, index])
     nsigned = []
     for _ in range(trials):
         pat = SignPattern.random(f.dim, max_level, rng)
-        nsigned.append(lp_norms(sign_operator(f, pat, assignment, cache),
-                                p_list))
+        nsigned.append(lp_norms(sign_operator(f, pat, assignment), p_list))
     records = []
     for i, p in enumerate(p_list):
         smax = max((ns[i] / nf[i] for ns in nsigned), default=0.0)
@@ -408,8 +406,7 @@ def _entry_records(args):
     return records
 
 
-def lp_sweep(corpus, p_list, banks, max_level, trials=0, seed=0, jobs=1,
-             cache=None):
+def lp_sweep(corpus, p_list, banks, max_level, trials=0, seed=0, jobs=1):
     """Square-function and sign-operator ratios over a corpus.
 
     Returns (records, summary); individual degenerate entries are recorded
@@ -419,8 +416,8 @@ def lp_sweep(corpus, p_list, banks, max_level, trials=0, seed=0, jobs=1,
         raise ValueError("corpus is empty")
     dim = corpus[0][1].dim
     assignment = mrand.banks_for(banks, dim)
-    tasks = [(fid, f, list(p_list), assignment, max_level, trials, seed, i,
-              cache) for i, (fid, f) in enumerate(corpus)]
+    tasks = [(fid, f, list(p_list), assignment, max_level, trials, seed, i)
+             for i, (fid, f) in enumerate(corpus)]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_entry_records, tasks))

@@ -47,9 +47,8 @@ def _check_level(level, depth):
             f"level {level} above cap {depth - LEVEL_HEADROOM} at depth {depth}")
 
 
-def _table(bank, which, gap, cache):
-    cache = cache if cache is not None else refinable.DEFAULT_CACHE
-    return cache.get(bank, which, gap + 1)
+def _table(bank, which, gap):
+    return refinable.DEFAULT_CACHE.get(bank, which, gap + 1)
 
 
 def _shift_window(origin_units, size, gap, dual_support):
@@ -128,7 +127,7 @@ def _scatter(coeffs, taps, stride):
     return out
 
 
-def analyze_rows(rows, origin, depth, level, bank, cache=None):
+def analyze_rows(rows, origin, depth, level, bank):
     """Coefficient rows for a stack of 1-D slices sharing one box.
 
     rows has shape (nslices, n); returns (coeff rows, first shift).  Each
@@ -137,7 +136,7 @@ def analyze_rows(rows, origin, depth, level, bank, cache=None):
     """
     gap = depth - level
     dual = bank.dual
-    t = _table(bank, "dual", gap, cache).midpoint_samples(gap)
+    t = _table(bank, "dual", gap).midpoint_samples(gap)
     m = 1 << gap
     nu_min, nu_max = _shift_window(origin, rows.shape[1], gap, dual.support)
     coeffs = _gather(rows, (nu_min + dual.n_first) * m - origin,
@@ -146,7 +145,7 @@ def analyze_rows(rows, origin, depth, level, bank, cache=None):
     return coeffs, nu_min
 
 
-def synthesize_rows(coeffs, shift_first, level, bank, depth, cache=None):
+def synthesize_rows(coeffs, shift_first, level, bank, depth):
     """Pointwise sums sum_nu c_nu phi(2^level x - nu) on a depth-J grid.
 
     Returns (rows, origin in grid units); the box is the union of the
@@ -157,13 +156,13 @@ def synthesize_rows(coeffs, shift_first, level, bank, depth, cache=None):
         raise ResolutionExhausted(
             f"depth {depth} leaves gap {gap} < {LEVEL_HEADROOM} at level {level}")
     primal = bank.primal
-    u = _table(bank, "primal", gap, cache).midpoint_samples(gap)
+    u = _table(bank, "primal", gap).midpoint_samples(gap)
     m = 1 << gap
     return (_scatter(coeffs, u, m),
             (shift_first + primal.n_first) * m)
 
 
-def level_sums(rows, origin, depth, weight_vectors, bank, cache=None):
+def level_sums(rows, origin, depth, weight_vectors, bank):
     """sum_k w[k] E_k of one stack of rows, for each weight vector w in turn.
 
     One analysis at the highest weighted level, then down-steps
@@ -177,7 +176,7 @@ def level_sums(rows, origin, depth, weight_vectors, bank, cache=None):
     bottom, top = min(levels), max(levels)
     _check_level(top, depth)
     dual, primal = bank.dual, bank.primal
-    pyramid = [analyze_rows(rows, origin, depth, top, bank, cache)]
+    pyramid = [analyze_rows(rows, origin, depth, top, bank)]
     n = rows.shape[1]
     del rows  # read only by the top analysis; the caller may free them
     for level in range(top - 1, bottom - 1, -1):
@@ -201,7 +200,7 @@ def level_sums(rows, origin, depth, weight_vectors, bank, cache=None):
                 # the refined window holds this level's (supports overlap)
                 lo = first - acc[1]
                 acc[0][:, lo:lo + coeffs.shape[1]] += w * coeffs
-        yield synthesize_rows(*acc, top, bank, depth, cache)
+        yield synthesize_rows(*acc, top, bank, depth)
 
 
 def _require_1d(f):
@@ -209,19 +208,19 @@ def _require_1d(f):
         raise ValueError(f"expected a 1-D grid function, got dimension {f.dim}")
 
 
-def project(f, level, bank, cache=None):
+def project(f, level, bank):
     """Projection onto the span of the level-k shifts (analysis + synthesis)."""
     _require_1d(f)
     _check_level(level, f.depth)
     refinable.ensure_accepted(bank)
     coeffs, nu_min = analyze_rows(f.data[None, :], f.origin[0], f.depth,
-                                  level, bank, cache)
-    rows, origin = synthesize_rows(coeffs, nu_min, level, bank, f.depth, cache)
+                                  level, bank)
+    rows, origin = synthesize_rows(coeffs, nu_min, level, bank, f.depth)
     return GridFunction(rows[0], f.depth, (origin,))
 
 
-def detail(f, level, bank, cache=None):
+def detail(f, level, bank):
     """Difference of consecutive projections; level 0 is the projection itself."""
     if level == 0:
-        return project(f, 0, bank, cache)
-    return project(f, level, bank, cache) - project(f, level - 1, bank, cache)
+        return project(f, 0, bank)
+    return project(f, level, bank) - project(f, level - 1, bank)

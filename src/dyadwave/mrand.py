@@ -44,21 +44,20 @@ class LevelSum:
     one-hot weight vector, a detail is (..., -1, +1).
     """
 
-    def __init__(self, bank, weights, cache=None):
+    def __init__(self, bank, weights):
         self.bank = bank
         self.weights = tuple(float(w) for w in weights)
-        self.cache = cache
 
     def apply_rows(self, rows, origin, depth):
         return next(mra1d.level_sums(rows, origin, depth, [self.weights],
-                                     self.bank, self.cache))
+                                     self.bank))
 
 
 class LevelProjection(LevelSum):
     """E_level along one axis: the one-hot weight vector."""
 
-    def __init__(self, bank, level, cache=None):
-        super().__init__(bank, (0.0,) * level + (1.0,), cache)
+    def __init__(self, bank, level):
+        super().__init__(bank, (0.0,) * level + (1.0,))
 
 
 def detail_weights(level):
@@ -115,44 +114,44 @@ def _levels_tuple(levels, dim):
     return levels
 
 
-def _axis_sums(f, data, origin, axis, weights, banks, cache):
+def _axis_sums(f, data, origin, axis, weights, banks):
     if axis == f.dim:
         yield GridFunction(data, f.depth, origin)
         return
     rows, back = axis_layout(data, origin, axis)
     sums = mra1d.level_sums(rows, origin[axis], f.depth, weights[axis],
-                            banks[axis], cache)
+                            banks[axis])
     del data, rows
     for left in range(len(weights[axis]), 0, -1):
         out = next(sums)
         if left == 1:
             sums.close()  # frees the pyramid before the descent
-        nested = _axis_sums(f, *back(*out), axis + 1, weights, banks, cache)
+        nested = _axis_sums(f, *back(*out), axis + 1, weights, banks)
         del out  # nested lays out its rows, then drops this output
         yield from nested
 
 
-def tensor_sums(f, weight_lists, banks, cache=None):
+def tensor_sums(f, weight_lists, banks):
     """Products over axes a of sum_k w[k] E_k, one per w in weight_lists[a],
     depth first, one pyramid per axis and frame (:func:`mra1d.level_sums`);
     frames between axes are plain arrays, each product one GridFunction.
     """
     return _axis_sums(f, f.data, f.origin, 0, weight_lists,
-                      banks_for(banks, f.dim), cache)
+                      banks_for(banks, f.dim))
 
 
-def tensor_level_sum(f, weights, banks, cache=None):
+def tensor_level_sum(f, weights, banks):
     """Product over axes a of the 1-D sums sum_k weights[a][k] E_k."""
-    return next(tensor_sums(f, [[w] for w in weights], banks, cache))
+    return next(tensor_sums(f, [[w] for w in weights], banks))
 
 
-def project_nd(f, levels, banks, cache=None):
+def project_nd(f, levels, banks):
     """Tensor projector: per-axis level projections composed over axes."""
     weights = [(0.0,) * k + (1.0,) for k in _levels_tuple(levels, f.dim)]
-    return tensor_level_sum(f, weights, banks, cache)
+    return tensor_level_sum(f, weights, banks)
 
 
-def mixed_detail(f, levels, banks, form="factorized", cache=None):
+def mixed_detail(f, levels, banks, form="factorized"):
     """Mixed difference of tensor projectors at a level vector.
 
     form="factorized": product over axes of the 1-D detail operators.
@@ -161,15 +160,14 @@ def mixed_detail(f, levels, banks, form="factorized", cache=None):
     """
     levels = _levels_tuple(levels, f.dim)
     if form == "factorized":
-        return tensor_level_sum(f, [detail_weights(k) for k in levels],
-                                banks, cache)
+        return tensor_level_sum(f, [detail_weights(k) for k in levels], banks)
     if form == "alternating":
         total = None
         for eps in sign_patterns(f.dim):
             if not pattern_within(eps, levels):
                 continue
             shifted = tuple(k - e for k, e in zip(levels, eps))
-            term = project_nd(f, shifted, banks, cache)
+            term = project_nd(f, shifted, banks)
             if pattern_parity(eps) < 0:
                 term = -term
             total = term if total is None else total + term
@@ -177,11 +175,11 @@ def mixed_detail(f, levels, banks, form="factorized", cache=None):
     raise ValueError(f"unknown form {form!r}")
 
 
-def partial_sum(f, bound, banks, cache=None):
+def partial_sum(f, bound, banks):
     """Sum of mixed details over the level box cut at `bound`."""
     bound = _levels_tuple(bound, f.dim)
     total = None
     for levels in box_range(bound):
-        term = mixed_detail(f, levels, banks, cache=cache)
+        term = mixed_detail(f, levels, banks)
         total = term if total is None else total + term
     return total

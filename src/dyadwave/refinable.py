@@ -15,7 +15,6 @@ generators and second-order accurate otherwise.
 from __future__ import annotations
 
 import hashlib
-import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BankRejected, DepthOverflow, NonSimpleEigenvalue, ParseError
-
-log = logging.getLogger("dyadwave.refinable")
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -36,8 +33,6 @@ ACCEPTANCE_DEPTH = 12
 MAX_TABLE_DEPTH = 24
 
 SMOOTHNESS_CLASSES = ("pcw_const", "c0", "c1")
-
-TABLE_MAGIC = b"HWTB2"
 
 
 @dataclass(frozen=True)
@@ -446,92 +441,25 @@ def get_bank(bank_id, directory=None):
 
 
 # ---------------------------------------------------------------------------
-# binary table cache
-
-
-def save_table(table, path):
-    """Write a table as magic/header/payload/sha256 trailer."""
-    path = Path(path)
-    ident = table.filter_id.encode("utf-8")
-    header = TABLE_MAGIC + struct.pack(
-        "<BiqlH", 1 if table.which == "dual" else 0, table.depth,
-        len(table.values), table.n_first, len(ident))
-    body = header + ident + table.values.tobytes()
-    digest = hashlib.sha256(body).digest()
-    path.write_bytes(body + digest)
-
-
-def load_table(path):
-    """Read a table file; returns None when missing, corrupt, or stale."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return None
-    if len(raw) < len(TABLE_MAGIC) + 32 or not raw.startswith(TABLE_MAGIC):
-        return None
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        return None
-    off = len(TABLE_MAGIC)
-    try:
-        which_b, depth, nvals, n_first, idlen = struct.unpack_from(
-            "<BiqlH", body, off)
-        off += struct.calcsize("<BiqlH")
-        ident = body[off:off + idlen].decode("utf-8")
-        off += idlen
-        values = np.frombuffer(body, dtype=np.float64, count=nvals, offset=off)
-    except (struct.error, ValueError, UnicodeDecodeError):
-        return None
-    values = values.copy()
-    values.setflags(write=False)
-    return DyadicTable(
-        filter_id=ident, which="dual" if which_b else "primal", depth=depth,
-        n_first=n_first, values=values, checksum=_payload_checksum(values))
+# table memo
 
 
 class TableCache:
-    """Memoized dyadic tables, optionally persisted to a directory.
+    """Memoized dyadic tables, built on first use and kept in memory.
 
-    Tables are keyed by mask: a dual mask equal to the primal one shares
-    its table, in memory and on disk.  Disk entries are named by (bank id,
-    mask, depth, digest of both masks); a stale or corrupt file is rebuilt
-    silently with a log line.
+    Tables are keyed by mask, so a dual mask equal to the primal one
+    shares its table.
     """
 
-    def __init__(self, directory=None):
-        self.directory = Path(directory) if directory is not None else None
+    def __init__(self):
         self._memo = {}
 
-    @staticmethod
-    def _mask_name(bank, which):
-        return "primal" if bank.mask(which) == bank.primal else which
-
-    def _path(self, bank, which, depth):
-        which = self._mask_name(bank, which)
-        name = f"{bank.bank_id}-{which}-L{depth}-{mask_digest(bank)}.hwtb"
-        return self.directory / name
-
     def get(self, bank, which, depth):
-        which = self._mask_name(bank, which)
+        which = "primal" if bank.mask(which) == bank.primal else which
         key = (bank.bank_id, mask_digest(bank), which, depth)
         table = self._memo.get(key)
-        if table is not None:
-            return table
-        if self.directory is not None:
-            table = load_table(self._path(bank, which, depth))
-            if table is not None and (table.depth != depth
-                                      or table.filter_id != bank.bank_id):
-                table = None
-            if table is None:
-                log.info("table cache miss/stale: rebuilding %s/%s depth %d",
-                         bank.bank_id, which, depth)
         if table is None:
-            table = cascade(bank, which, depth)
-            if self.directory is not None:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                save_table(table, self._path(bank, which, depth))
-        self._memo[key] = table
+            table = self._memo[key] = cascade(bank, which, depth)
         return table
 
 

@@ -46,28 +46,57 @@ def test_filters_corrupted_mask(tmp_path, capsys):
 # table
 
 
-def test_table_command_builds_and_caches(tmp_path, capsys):
-    out = tmp_path / "cache"
-    args = ["table", "--bank", "db3", "--which", "dual", "--depth", "8",
-            "--cache", str(out)]
-    assert run(args) == 0
-    first = capsys.readouterr().out
-    files = list(out.glob("*.hwtb"))
-    assert len(files) == 1
-    assert run(args) == 0
-    assert capsys.readouterr().out == first
+def test_table_command_prints_golden_checksum(tmp_path, capsys, monkeypatch):
+    # no file in the working directory, nor in a directory named by the
+    # environment variable that once located a table cache
+    env_dir, work = tmp_path / "env", tmp_path / "work"
+    env_dir.mkdir()
+    work.mkdir()
+    monkeypatch.setenv("DYADWAVE_CACHE", str(env_dir))
+    monkeypatch.chdir(work)
+    assert run(["table", "--bank", "db4", "--which", "dual",
+                "--depth", "12"]) == 0
+    golden = Path(__file__).parent / "golden" / "tables.sha256"
+    want = {name: digest for digest, name in
+            (line.split("  ") for line in golden.read_text().splitlines())}
+    assert capsys.readouterr().out == (
+        f"db4/dual depth=12 points={7 * 2 ** 12 + 1} "
+        f"checksum={want['db4-dual-L12'][:16]}\n")
+    assert list(env_dir.iterdir()) == list(work.iterdir()) == []
 
 
-def test_table_unknown_bank(tmp_path, capsys):
-    assert run(["table", "--bank", "nope", "--out", str(tmp_path)]) == 2
+def test_table_unknown_bank(capsys):
+    assert run(["table", "--bank", "nope"]) == 2
     assert "unknown bank" in capsys.readouterr().err
 
 
-def test_cache_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
-    assert run(["table", "--bank", "haar", "--which", "primal",
-                "--depth", "6"]) == 0
-    assert list((tmp_path / "envcache").glob("*.hwtb"))
+@pytest.mark.parametrize("argv", [["cz", "--seed", "3"],
+                                  ["table", "--bank", "haar", "--out", "o"],
+                                  ["filters", "--seed", "1"],
+                                  ["report", "--tolerance-scale", "2"]],
+                         ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flag_the_command_does_not_read_rejected(argv, tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["filters"],
+    ["identities", "--banks", "haar", "--depth", "8", "--max-level", "3"],
+    ["lp-sweep", "--banks", "haar", "--depth", "9", "--max-level", "3",
+     "--trials", "0"]], ids=lambda argv: argv[0])
+def test_bad_tolerance_scale(argv, scale, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, f"--tolerance-scale={scale}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tolerance scale must be" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +295,7 @@ def test_cz_negative_depth_or_seed(flag, value, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0", "1,nan"])
 def test_cz_non_finite_alpha(alpha, tmp_path, capsys):
     rc = run(["cz", "--depth", "9", "--seeds", "0", f"--alphas={alpha}",
               "--out", str(tmp_path)])

@@ -295,7 +295,7 @@ def test_gather_matches_padded_window(registry, rng, monkeypatch, bank_name):
     # and longer than the window, compared bit for bit; the short rows
     # (the tap-matrix branch) pad nothing
     dual = registry[bank_name].dual
-    tap_sets = [(mra1d._table(registry[bank_name], "dual", gap, None)
+    tap_sets = [(mra1d._table(registry[bank_name], "dual", gap)
                  .midpoint_samples(gap), 1 << gap) for gap in (4, 7)]
     tap_sets.append((dual.array() / refinable.SQRT2, 2))
     pad = np.pad

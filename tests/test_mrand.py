@@ -360,16 +360,17 @@ class _DepthRecorder(refinable.TableCache):
 @pytest.mark.parametrize("bank_name", ["db4", "spline24"])
 @pytest.mark.parametrize("shape, depth, top", [((2 ** 10,), 10, 4),
                                                ((64, 64), 6, 2)])
-def test_operators_read_one_table_depth(registry, rng, bank_name, shape,
-                                        depth, top):
+def test_operators_read_one_table_depth(registry, rng, monkeypatch,
+                                        bank_name, shape, depth, top):
     bank = registry[bank_name]
     f = noise(rng, shape, depth)
     pattern = lp.SignPattern.random(len(shape), top, rng)
-    for run in (lambda c: lp.square_function(f, top, bank, c),
-                lambda c: lp.sign_operator(f, pattern, bank, c),
-                lambda c: mrand.project_nd(f, (top,) * len(shape), bank, c)):
+    for run in (lambda: lp.square_function(f, top, bank),
+                lambda: lp.sign_operator(f, pattern, bank),
+                lambda: mrand.project_nd(f, (top,) * len(shape), bank)):
         cache = _DepthRecorder()
-        run(cache)
+        monkeypatch.setattr(refinable, "DEFAULT_CACHE", cache)
+        run()
         assert cache.depths == {depth - top + 1}
 
 

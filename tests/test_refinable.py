@@ -1,6 +1,4 @@
-import hashlib
 import math
-import struct
 import tracemalloc
 
 import numpy as np
@@ -296,90 +294,19 @@ def test_residual_depth_stability(registry):
 
 
 # ---------------------------------------------------------------------------
-# table files and cache
+# table memo
 
 
-def test_table_roundtrip(tmp_path, db3):
-    table = refinable.cascade(db3, "dual", 8)
-    path = tmp_path / "t.hwtb"
-    refinable.save_table(table, path)
-    back = refinable.load_table(path)
-    assert back is not None
-    assert back.filter_id == "db3" and back.which == "dual"
-    assert back.depth == 8 and back.n_first == 0
-    assert np.array_equal(back.values, table.values)
-    assert back.checksum == table.checksum
-
-
-def test_corrupt_table_detected(tmp_path, haar):
-    table = refinable.cascade(haar, "primal", 6)
-    path = tmp_path / "t.hwtb"
-    refinable.save_table(table, path)
-    raw = bytearray(path.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    assert refinable.load_table(path) is None
-
-
-def test_cache_builds_and_rebuilds(tmp_path, db2):
-    cache = refinable.TableCache(tmp_path)
-    t1 = cache.get(db2, "primal", 9)
-    files = list(tmp_path.glob("*.hwtb"))
-    assert len(files) == 1
-    # fresh cache object reads the same payload back
-    t2 = refinable.TableCache(tmp_path).get(db2, "primal", 9)
-    assert t2.checksum == t1.checksum
-    # corruption forces a silent rebuild
-    raw = bytearray(files[0].read_bytes())
-    raw[-1] ^= 0xFF
-    files[0].write_bytes(bytes(raw))
-    t3 = refinable.TableCache(tmp_path).get(db2, "primal", 9)
-    assert t3.checksum == t1.checksum
-    assert refinable.load_table(files[0]) is not None
-
-
-def test_cache_shares_equal_masks(tmp_path, registry):
-    cache = refinable.TableCache(tmp_path)
+def test_cache_shares_equal_masks(registry):
+    cache = refinable.TableCache()
     for name in ("haar", "db2", "db3", "db4"):
         bank = registry[name]
         assert cache.get(bank, "primal", 7) is cache.get(bank, "dual", 7)
     spline = registry["spline24"]
     assert cache.get(spline, "primal", 7) is not cache.get(spline, "dual", 7)
-    assert len(list(tmp_path.glob("*.hwtb"))) == 6
-    # a fresh cache reads the shared files back for either mask name
-    fresh = refinable.TableCache(tmp_path)
     for bank in registry.values():
         for which in ("primal", "dual"):
             want = refinable.cascade(bank, which, 7)
-            got = fresh.get(bank, which, 7)
+            got = cache.get(bank, which, 7)
             assert np.array_equal(got.values, want.values)
             assert got.checksum == want.checksum
-
-
-def _hwtb1_bytes(table, derivatives):
-    """A table file in the old HWTB1 layout, with a valid sha256 trailer.
-
-    HWTB1 had one more header byte, set when derivative values followed
-    the values.
-    """
-    ident = table.filter_id.encode("utf-8")
-    body = b"HWTB1" + struct.pack(
-        "<BiqlBH", 1 if table.which == "dual" else 0, table.depth,
-        len(table.values), table.n_first, 1, len(ident))
-    body += ident + table.values.tobytes() + derivatives.tobytes()
-    return body + hashlib.sha256(body).digest()
-
-
-def test_cache_rebuilds_old_format(tmp_path, db4):
-    table = refinable.cascade(db4, "dual", 8)
-    cache = refinable.TableCache(tmp_path)
-    path = cache._path(db4, "dual", 8)
-    old = _hwtb1_bytes(table, np.gradient(table.values, table.step))
-    path.write_bytes(old)
-    assert refinable.load_table(path) is None
-    got = cache.get(db4, "dual", 8)
-    assert np.array_equal(got.values, table.values)
-    assert got.checksum == table.checksum
-    raw = path.read_bytes()
-    assert raw.startswith(b"HWTB2")
-    assert refinable.load_table(path).checksum == table.checksum
