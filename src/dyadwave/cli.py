@@ -40,6 +40,15 @@ def parse_config(path):
     return out
 
 
+def _check_config_keys(args, config):
+    """Refuse a config key the command reads from no flag (--no-X reads X)."""
+    known = {key.removeprefix("no_") for key in vars(args)}
+    unknown = sorted(set(config) - known - {"command", "func", "config"})
+    if unknown:
+        raise ValueError(f"{args.command} reads no config key "
+                         f"{', '.join(unknown)}")
+
+
 def _setting(args, config, key, default, cast=str):
     value = getattr(args, key, None)
     if value is None:
@@ -217,9 +226,8 @@ def _identity_battery(banks, dim, depth, max_level, seed):
     n = 2 ** min(3, max_level)
     coeffs = (rng.standard_normal((n,) * dim)
               + 1j * rng.standard_normal((n,) * dim))
-    member = lpharness.synthesize_nd(coeffs, (0,) * dim,
-                                     (min(3, max_level),) * dim,
-                                     assignment, depth)
+    member = mrand.synthesize_nd(coeffs, (0,) * dim,
+                                 (min(3, max_level),) * dim, assignment, depth)
     nm2 = gridfn.lp_norm(member, 2) ** 2
     total, rec = 0.0, None
     for kvec in gridfn.box_range((min(3, max_level),) * dim):
@@ -470,6 +478,7 @@ def main(argv=None):
     try:
         if args.config:
             config = parse_config(args.config)
+            _check_config_keys(args, config)
         return args.func(args, config)
     except (DyadwaveError, OSError, KeyError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

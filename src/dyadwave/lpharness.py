@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import mra1d, mrand
+from . import mrand
 from .errors import NonProductPattern, TooManyTerms
 from .gridfn import SUM_LEAF, GridFunction, _slot, abs_sq, lp_norms, sample
 
@@ -48,10 +48,6 @@ class SignPattern:
     @property
     def dim(self):
         return len(self.axis_signs)
-
-    @property
-    def max_level(self):
-        return len(self.axis_signs[0]) - 1
 
     def value(self, levels):
         out = 1
@@ -102,13 +98,12 @@ def square_function(f, max_level, banks):
 
     Returns a nonnegative real-valued grid function; monotone in max_level
     pointwise since blocks only accumulate.  The blocks come from
-    :func:`mrand.tensor_sums`, with plain arrays between axes.  Each adds
-    its |.|^2 from :func:`gridfn.abs_sq` (v*v, or re*re + im*im) in the
-    fixed depth-first block order, in place and in row tiles of about
+    :func:`mrand.tensor_sums`.  Each adds its |.|^2 from
+    :func:`gridfn.abs_sq` (v*v, or re*re + im*im) in the fixed
+    depth-first block order, in place and in row tiles of about
     SUM_LEAF cells, and the root is the correctly rounded ``np.sqrt``, so
     the result does not depend on the SIMD target or the BLAS.
     """
-    mra1d._check_level(max_level, f.depth)
     weights = [mrand.detail_weights(k) for k in range(max_level + 1)]
     acc = None
     for block in mrand.tensor_sums(f, [weights] * f.dim, banks):
@@ -236,20 +231,6 @@ def khintchine_check(a, p, exact_limit=16, mc_trials=200_000, seed=0):
 # standard corpus
 
 
-def synthesize_nd(coeffs, shift_firsts, levels, banks, depth):
-    """Tensor synthesis of a dense coefficient array at a level vector.
-
-    One axis at a time; between axes a plain array holds coefficients,
-    from their first shifts, along the axes still to do.
-    """
-    data, origin = np.asarray(coeffs), tuple(shift_firsts)
-    for axis, bank in enumerate(mrand.banks_for(banks, data.ndim)):
-        rows, back = mrand.axis_layout(data, origin, axis)
-        data, origin = back(*mra1d.synthesize_rows(
-            rows, origin[axis], levels[axis], bank, depth))
-    return GridFunction(data, depth, origin)
-
-
 def libm_map(fn, x):
     """fn from :mod:`math` (libm), elementwise over a 1-D float array.
 
@@ -324,8 +305,8 @@ def standard_corpus(dim, depth, seed, banks=None, block_level=None):
         for i in range(2):
             coeffs = (rng.standard_normal((n,) * dim)
                       + 1j * rng.standard_normal((n,) * dim))
-            g = synthesize_nd(coeffs, (0,) * dim, (block_level,) * dim,
-                              assignment, depth)
+            g = mrand.synthesize_nd(coeffs, (0,) * dim,
+                                    (block_level,) * dim, assignment, depth)
             out.append((f"block-{i}", g))
     return out
 

@@ -14,7 +14,7 @@ generators.  The row kernels at the bottom operate on stacks of 1-D slices
 so the d-dimensional module can reuse them wholesale.
 
 A weighted sum of projections moves between levels in coefficient space
-(the fast wavelet transform, :func:`level_sums`).
+(the fast wavelet transform, :func:`level_sum`).
 """
 
 from __future__ import annotations
@@ -162,23 +162,27 @@ def synthesize_rows(coeffs, shift_first, level, bank, depth):
             (shift_first + primal.n_first) * m)
 
 
-def level_sums(rows, origin, depth, weight_vectors, bank):
-    """sum_k w[k] E_k of one stack of rows, for each weight vector w in turn.
-
-    One analysis at the highest weighted level, then down-steps
-    c_nu = 2^(-1/2) sum_n h*_n c'_(2 nu + n) with the dual mask h*, each
-    kept to the shift window of a direct analysis at its level.  Each sum
-    is built by Horner's scheme in coefficient space, with up-steps
-    d_mu = 2^(1/2) sum_nu c_nu h_(mu - 2 nu) of the primal mask h, and
-    synthesised once at the top level.  Yields (rows, origin) per vector.
-    """
-    levels = [k for w in weight_vectors for k, x in enumerate(w) if x]
-    bottom, top = min(levels), max(levels)
+def top_level(weight_vectors, depth):
+    """The highest weighted level of the vectors, checked against depth."""
+    top = max((k for w in weight_vectors for k, x in enumerate(w) if x),
+              default=-1)
     _check_level(top, depth)
+    return top
+
+
+def level_sum(coeffs, first, top, n, origin, depth, weights, bank):
+    """sum_k w[k] E_k in coefficient space, at the top level and back.
+
+    coeffs, from shift first, is the level-top analysis of rows of n cells
+    from origin.  Down-steps c_nu = 2^(-1/2) sum_n h*_n c'_(2 nu + n) with
+    the dual mask h* run to the lowest weighted level, each kept to the
+    shift window of a direct analysis at its level.  The sum is built by
+    Horner's scheme, with up-steps d_mu = 2^(1/2) sum_nu c_nu h_(mu - 2 nu)
+    of the primal mask h.  Returns (coeffs, first) at the top level.
+    """
+    bottom = min(k for k, x in enumerate(weights) if x)
     dual, primal = bank.dual, bank.primal
-    pyramid = [analyze_rows(rows, origin, depth, top, bank)]
-    n = rows.shape[1]
-    del rows  # read only by the top analysis; the caller may free them
+    pyramid = [(coeffs, first)]
     for level in range(top - 1, bottom - 1, -1):
         coeffs, first = pyramid[0]
         nu_min, nu_max = _shift_window(origin, n, depth - level,
@@ -186,31 +190,25 @@ def level_sums(rows, origin, depth, weight_vectors, bank):
         pyramid.insert(0, (_gather(coeffs, 2 * nu_min + dual.n_first - first,
                                    nu_max - nu_min + 1, 2,
                                    dual.array() / refinable.SQRT2), nu_min))
-    for weights in weight_vectors:
-        acc = None
-        for (coeffs, first), w in itertools.zip_longest(
-                pyramid, weights[bottom:top + 1], fillvalue=0.0):
-            if acc is None:
-                if w:
-                    acc = (coeffs if w == 1.0 else w * coeffs, first)
-                continue
-            acc = (_scatter(acc[0], refinable.SQRT2 * primal.array(), 2),
-                   2 * acc[1] + primal.n_first)
-            if w:
-                # the refined window holds this level's (supports overlap)
-                lo = first - acc[1]
-                acc[0][:, lo:lo + coeffs.shape[1]] += w * coeffs
-        yield synthesize_rows(*acc, top, bank, depth)
-
-
-def _require_1d(f):
-    if f.dim != 1:
-        raise ValueError(f"expected a 1-D grid function, got dimension {f.dim}")
+    acc = None
+    for (coeffs, first), w in itertools.zip_longest(
+            pyramid, weights[bottom:top + 1], fillvalue=0.0):
+        if acc is None:
+            acc = (coeffs if w == 1.0 else w * coeffs, first)
+            continue
+        acc = (_scatter(acc[0], refinable.SQRT2 * primal.array(), 2),
+               2 * acc[1] + primal.n_first)
+        if w:
+            # the refined window holds this level's (supports overlap)
+            lo = first - acc[1]
+            acc[0][:, lo:lo + coeffs.shape[1]] += w * coeffs
+    return acc
 
 
 def project(f, level, bank):
     """Projection onto the span of the level-k shifts (analysis + synthesis)."""
-    _require_1d(f)
+    if f.dim != 1:
+        raise ValueError(f"expected a 1-D grid function, got dimension {f.dim}")
     _check_level(level, f.depth)
     refinable.ensure_accepted(bank)
     coeffs, nu_min = analyze_rows(f.data[None, :], f.origin[0], f.depth,

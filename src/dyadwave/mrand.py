@@ -1,17 +1,19 @@
 """Axis lifting of 1-D grid transforms and tensor-product projectors.
 
 A 1-D operator T acts along axis j of a d-dimensional grid function by
-transforming every 1-D slice in that direction.  Lifted operators along
-different axes commute, so a tensor operator is one pass per axis, j =
-0..d-1 in turn for determinism, with plain arrays between axes
-(:func:`tensor_sums`).  At a level vector k the mixed difference factorizes
-into per-axis details -- equivalently it is the alternating sum of tensor
-projectors over the binary patterns supported where k is positive.  Both
-forms are implemented; their agreement is a primary test, not an
-assumption.  Each 1-D operator is a weighted sum of level projections.
+transforming every 1-D slice in that direction.  Per-axis level sums
+commute and are linear, so a tensor operator is the separable fast wavelet
+transform (:func:`tensor_sums`): one analysis per axis, the sums on the
+coefficient tensor, one synthesis per product (:func:`synthesize_nd`).  At
+a level vector k the mixed difference factorizes into per-axis details --
+equivalently it is the alternating sum of tensor projectors over the binary
+patterns supported where k is positive.  Both forms are implemented; their
+agreement is a primary test, not an assumption.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -40,7 +42,7 @@ class LevelSum:
     """sum_k w[k] E_k along one axis, for per-level weights w[0..K].
 
     One analysis and one synthesis, with the levels between them in
-    coefficient space (:func:`mra1d.level_sums`).  A projection is a
+    coefficient space (:func:`mra1d.level_sum`).  A projection is a
     one-hot weight vector, a detail is (..., -1, +1).
     """
 
@@ -49,8 +51,11 @@ class LevelSum:
         self.weights = tuple(float(w) for w in weights)
 
     def apply_rows(self, rows, origin, depth):
-        return next(mra1d.level_sums(rows, origin, depth, [self.weights],
-                                     self.bank))
+        top = mra1d.top_level([self.weights], depth)
+        analysis = mra1d.analyze_rows(rows, origin, depth, top, self.bank)
+        return mra1d.synthesize_rows(
+            *mra1d.level_sum(*analysis, top, rows.shape[1], origin, depth,
+                             self.weights, self.bank), top, self.bank, depth)
 
 
 class LevelProjection(LevelSum):
@@ -114,30 +119,44 @@ def _levels_tuple(levels, dim):
     return levels
 
 
-def _axis_sums(f, data, origin, axis, weights, banks):
-    if axis == f.dim:
-        yield GridFunction(data, f.depth, origin)
-        return
-    rows, back = axis_layout(data, origin, axis)
-    sums = mra1d.level_sums(rows, origin[axis], f.depth, weights[axis],
-                            banks[axis])
-    del data, rows
-    for left in range(len(weights[axis]), 0, -1):
-        out = next(sums)
-        if left == 1:
-            sums.close()  # frees the pyramid before the descent
-        nested = _axis_sums(f, *back(*out), axis + 1, weights, banks)
-        del out  # nested lays out its rows, then drops this output
-        yield from nested
+def synthesize_nd(coeffs, shift_firsts, levels, banks, depth):
+    """Tensor synthesis of a dense coefficient array at a level vector.
+
+    One axis at a time, axis 0 first, so the contiguous last axis is
+    synthesised last; between axes a plain array holds coefficients, from
+    their first shifts, along the axes still to do.
+    """
+    data, origin = np.asarray(coeffs), tuple(shift_firsts)
+    for axis, bank in enumerate(banks_for(banks, data.ndim)):
+        rows, back = axis_layout(data, origin, axis)
+        data, origin = back(*mra1d.synthesize_rows(
+            rows, origin[axis], levels[axis], bank, depth))
+    return GridFunction(data, depth, origin)
 
 
 def tensor_sums(f, weight_lists, banks):
-    """Products over axes a of sum_k w[k] E_k, one per w in weight_lists[a],
-    depth first, one pyramid per axis and frame (:func:`mra1d.level_sums`);
-    frames between axes are plain arrays, each product one GridFunction.
+    """Products over axes a of sum_k w[k] E_k, one per w in weight_lists[a].
+
+    f is analysed once per axis, at that axis's highest weighted level, the
+    last axis first (its rows are a view).  Each product, axis 0 outermost
+    and depth first, runs :func:`mra1d.level_sum` axis by axis on the
+    coefficient tensor and yields its :func:`synthesize_nd` GridFunction.
     """
-    return _axis_sums(f, f.data, f.origin, 0, weight_lists,
-                      banks_for(banks, f.dim))
+    banks = banks_for(banks, f.dim)
+    tops = [mra1d.top_level(w, f.depth) for w in weight_lists]
+    coeffs, firsts = f.data, f.origin
+    for axis in reversed(range(f.dim)):
+        rows, back = axis_layout(coeffs, firsts, axis)
+        coeffs, firsts = back(*mra1d.analyze_rows(
+            rows, f.origin[axis], f.depth, tops[axis], banks[axis]))
+    for product in itertools.product(*weight_lists):
+        data, first = coeffs, firsts
+        for axis, weights in enumerate(product):
+            rows, back = axis_layout(data, first, axis)
+            data, first = back(*mra1d.level_sum(
+                rows, first[axis], tops[axis], f.shape[axis], f.origin[axis],
+                f.depth, weights, banks[axis]))
+        yield synthesize_nd(data, first, tops, banks, f.depth)
 
 
 def tensor_level_sum(f, weights, banks):

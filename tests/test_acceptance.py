@@ -110,8 +110,8 @@ def test_criterion_03_parseval_reconstruction(registry, rng):
             n = 2 ** level if dim == 1 else 2 ** (level - 1)
             coeffs = (rng.standard_normal((n,) * dim)
                       + 1j * rng.standard_normal((n,) * dim))
-            f = lp.synthesize_nd(coeffs, (0,) * dim, (level,) * dim, bank,
-                                 depth)
+            f = mrand.synthesize_nd(coeffs, (0,) * dim, (level,) * dim,
+                                    bank, depth)
             n2 = gf.lp_norm(f, 2) ** 2
             total = sum(
                 gf.lp_norm(mrand.mixed_detail(f, kv, bank), 2) ** 2
@@ -215,8 +215,8 @@ def test_criterion_06_p2_littlewood_paley(registry, rng):
             n = 2 ** level
             coeffs = (rng.standard_normal((n,) * dim)
                       + 1j * rng.standard_normal((n,) * dim))
-            f = lp.synthesize_nd(coeffs, (0,) * dim, (level,) * dim, bank,
-                                 depth)
+            f = mrand.synthesize_nd(coeffs, (0,) * dim, (level,) * dim,
+                                    bank, depth)
             sf = lp.square_function(f, level, bank)
             n2 = gf.lp_norm(f, 2)
             r = abs(gf.lp_norm(sf, 2) - n2) / n2
@@ -379,7 +379,7 @@ def test_criterion_11_marcinkiewicz_weak_type(registry):
         members = [gf.GridFunction(rng.standard_normal(2 ** 13) + 0j, 13,
                                    (0,)) for _ in range(2)]
         coeffs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        members.append(lp.synthesize_nd(coeffs, (0,), (4,), db4, 13))
+        members.append(mrand.synthesize_nd(coeffs, (0,), (4,), db4, 13))
         for f in members:
             pat = lp.SignPattern.random(1, 4, rng)
             rows = czd.weak_type_measure(

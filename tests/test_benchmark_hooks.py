@@ -2,13 +2,14 @@
 
 ``perfbench/spans.py`` looks up every ``LAYERS`` name when it installs and
 reads ``derivative_values`` off every cascade result, so deleting one of
-them breaks a traced benchmark run.  The file is read here, never edited.
+them breaks a traced benchmark run; a layer the code no longer calls reads
+0 instead.  The file is read here, never edited.
 """
 
 import importlib.util
 from pathlib import Path
 
-from dyadwave import cli, czd, mrand, refinable  # cli imports every module
+from dyadwave import cli, czd, lpharness, mrand, refinable  # cli imports all
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -54,3 +55,40 @@ def test_cz_decompose_measure_counts_cubes():
         tracer.uninstall()
     assert len(dec.cubes)
     assert tracer.totals(0)["czd.cz_decompose"]["amount"] == len(dec.cubes)
+
+
+# round layers that lp2d-db4 and ident2d exercise; a refactor that routes
+# around one of these names would make its benchmark metric read 0
+KERNEL_LAYERS = ("mra1d.analyze_rows", "mra1d.synthesize_rows",
+                 "mrand.project_nd", "gridfn.lp_norms",
+                 "refinable.TableCache.get")
+SWEEP_LAYERS = KERNEL_LAYERS + ("lpharness.square_function",
+                                "lpharness.sign_operator")
+BATTERY_LAYERS = KERNEL_LAYERS + ("mrand.apply_axis", "mrand.mixed_detail",
+                                  "mrand.partial_sum", "gridfn.combine",
+                                  "gridfn.inner_product")
+
+
+def _traced_calls(run):
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        run()
+    finally:
+        tracer.uninstall()
+    return {name: t["calls"] for name, t in tracer.totals(0).items()}
+
+
+def test_sweep_reaches_every_traced_layer(db4):
+    assignment = mrand.banks_for(db4, 2)
+    corpus = lpharness.standard_corpus(2, 6, 601, banks=assignment,
+                                       block_level=1)
+    calls = _traced_calls(lambda: lpharness.lp_sweep(
+        corpus, [2.0], assignment, 1, trials=1, seed=601))
+    assert [name for name in SWEEP_LAYERS if not calls.get(name)] == []
+
+
+def test_identity_battery_reaches_every_traced_layer(db4, haar):
+    calls = _traced_calls(
+        lambda: cli._identity_battery([db4, haar], 2, 6, 1, 601))
+    assert [name for name in BATTERY_LAYERS if not calls.get(name)] == []

@@ -266,6 +266,24 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "trials = 0" in text  # flag beat the config value
 
 
+@pytest.mark.parametrize("command, keys", [
+    (["cz", "--depth", "9", "--alphas", "1"], "seed: 3\ncache: {cache}\n"),
+    (["lp-sweep", "--banks", "haar", "--depth", "7", "--max-level", "1",
+      "--trials", "0"], "plot: no\ncache: {cache}\n"),
+], ids=["cz-seed-cache", "lp-sweep-cache"])
+def test_config_key_the_command_does_not_read(command, keys, tmp_path,
+                                              capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys.format(cache=tmp_path / "cache"))
+    out = tmp_path / "o"
+    rc = run([*command, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cache" in err
+    assert ("seed" in err) == (command[0] == "cz")
+    assert not out.exists() and not (tmp_path / "cache").exists()
+
+
 # ---------------------------------------------------------------------------
 # cz and report
 

@@ -596,7 +596,7 @@ def test_weak_type_monotone(rng):
 def test_weak_type_l2_statistic_of_sign_operator(db4, rng):
     noise = gf.GridFunction(rng.standard_normal(2 ** 13) + 0j, 13, (0,))
     coeffs = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    member = lp.synthesize_nd(coeffs, (0,), (4,), db4, 13)
+    member = mrand.synthesize_nd(coeffs, (0,), (4,), db4, 13)
     pat = lp.SignPattern.random(1, 4, np.random.default_rng(2))
     worst = 0.0
     for f in (noise, member):

@@ -13,7 +13,7 @@ def block_member(bank, level, depth, rng, dim=1):
     n = 2 ** level
     coeffs = (rng.standard_normal((n,) * dim)
               + 1j * rng.standard_normal((n,) * dim))
-    return lp.synthesize_nd(coeffs, (0,) * dim, (level,) * dim, bank, depth)
+    return mrand.synthesize_nd(coeffs, (0,) * dim, (level,) * dim, bank, depth)
 
 
 # ---------------------------------------------------------------------------

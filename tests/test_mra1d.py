@@ -1,13 +1,11 @@
 import os
-import weakref
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
 
 from dyadwave import gridfn as gf
-from dyadwave import lpharness as lp
-from dyadwave import mra1d, refinable
+from dyadwave import mra1d, mrand, refinable
 from dyadwave.errors import FrameTooLarge, LevelOverflow, ResolutionExhausted
 
 
@@ -211,7 +209,7 @@ def test_parseval_for_synthesized(registry, rng, bank_name, depth, level):
     bank = registry[bank_name]
     coeffs = (rng.standard_normal(2 ** level)
               + 1j * rng.standard_normal(2 ** level))
-    f = lp.synthesize_nd(coeffs, (0,), (level,), bank, depth)
+    f = mrand.synthesize_nd(coeffs, (0,), (level,), bank, depth)
     n2 = gf.lp_norm(f, 2) ** 2
     total = sum(gf.lp_norm(mra1d.detail(f, k, bank), 2) ** 2
                 for k in range(level + 1))
@@ -234,7 +232,7 @@ def test_uniform_boundedness(db4, rng):
                         ((0.0, 1.0),))]
     for k in range(top + 1):
         c = (rng.standard_normal(2 ** k) + 1j * rng.standard_normal(2 ** k))
-        corpus.append(lp.synthesize_nd(c, (0,), (k,), db4, depth))
+        corpus.append(mrand.synthesize_nd(c, (0,), (k,), db4, depth))
     for p in (1.5, 2.0, 4.0):
         sups = []
         for k in range(top + 1):
@@ -334,17 +332,6 @@ def test_gather_long_real_window_keeps_window_path(rng):
         by_matrix = np.einsum("ix,jx->ij", real, tap_matrix).real
         differs |= by_matrix.tobytes() != want.tobytes()
     assert differs
-
-
-def test_level_sums_releases_input_rows(db4, rng):
-    rows = rng.standard_normal((4, 2 ** 9))
-    alive = weakref.ref(rows)
-    sums = mra1d.level_sums(rows, 0, 9, [(1.0,), (0.0, 1.0), (-1.0, 1.0)],
-                            db4)
-    del rows
-    first = next(sums)
-    assert alive() is None  # only the top analysis reads the rows
-    assert len(list(sums)) == 2 and first[0].shape[0] == 4
 
 
 def test_scatter_refuses_frame_over_memory_budget(monkeypatch, rng):

@@ -220,9 +220,8 @@ def test_partial_sum_telescopes(db2, db3, rng):
 
 
 def test_partial_sum_reconstructs_members(haar, rng):
-    from dyadwave.lpharness import synthesize_nd
     coeffs = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    f = synthesize_nd(coeffs, (0, 0), (3, 3), haar, 9)
+    f = mrand.synthesize_nd(coeffs, (0, 0), (3, 3), haar, 9)
     back = mrand.partial_sum(f, (3, 3), haar)
     assert rel(back, f, gf.lp_norm(f, 2)) <= 1e-8
 
@@ -260,10 +259,9 @@ def test_block_self_adjoint(haar, rng):
 
 
 def test_block_pythagoras_2d(haar, rng):
-    from dyadwave.lpharness import synthesize_nd
     level = 3
     coeffs = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    f = synthesize_nd(coeffs, (0, 0), (level, level), haar, 9)
+    f = mrand.synthesize_nd(coeffs, (0, 0), (level, level), haar, 9)
     n2 = gf.lp_norm(f, 2) ** 2
     total = sum(gf.lp_norm(mrand.mixed_detail(f, lv, haar), 2) ** 2
                 for lv in gf.box_range((level, level)))
@@ -375,19 +373,21 @@ def test_operators_read_one_table_depth(registry, rng, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# one tensor pass: plain arrays between axes
+# one tensor pass: every analysis, coefficient-space sums, one synthesis
 
 
 @pytest.mark.parametrize("bank_name",
                          ["haar", "db2", "db3", "db4", "spline24"])
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("shape, depth, origin", [
+    ((2 ** 7 + 5,), 7, (-3,)),
     ((12, 2 ** 6 + 5), 6, (-3, 7)),
     ((6, 2 ** 5 + 3, 9), 5, (5, -1, 3)),
-], ids=["2d", "3d"])
+], ids=["1d", "2d", "3d"])
 def test_tensor_level_sum_is_composed_apply_axis(registry, rng, bank_name,
                                                  kind, shape, depth, origin):
-    # oracle: the per-axis liftings, each ending in a GridFunction
+    # oracle: the per-axis liftings, each ending in a GridFunction; one axis
+    # keeps the bits, more axes reorder the sums of the synthesis
     bank = registry[bank_name]
     top = depth - mra1d.LEVEL_HEADROOM
     f = noise(rng, shape, depth, origin)
@@ -402,8 +402,13 @@ def test_tensor_level_sum_is_composed_apply_axis(registry, rng, bank_name,
         for axis, w in enumerate(weights):
             want = mrand.apply_axis(mrand.LevelSum(bank, w), want, axis)
         assert got.origin == want.origin
+        assert got.shape == want.shape
         assert got.data.dtype == want.data.dtype
-        assert np.array_equal(got.data, want.data), weights
+        if len(shape) == 1:
+            assert np.array_equal(got.data, want.data), weights
+        else:
+            scale = np.abs(want.data).max()
+            assert np.abs(got.data - want.data).max() <= 1e-13 * scale, weights
 
 
 def _tensor_operators(bank, rng, dim, depth):
@@ -420,7 +425,7 @@ def _tensor_operators(bank, rng, dim, depth):
         "mixed_detail-alternating":
             lambda: mrand.mixed_detail(f, top, bank, form="alternating"),
         "sign_operator": lambda: lp.sign_operator(f, pattern, bank),
-        "synthesize_nd": lambda: lp.synthesize_nd(
+        "synthesize_nd": lambda: mrand.synthesize_nd(
             coeffs, (0,) * dim, (top,) * dim, bank, depth),
         "partial_sum": lambda: mrand.partial_sum(f, top, bank),
     }
@@ -458,35 +463,46 @@ def test_one_grid_function_per_result(db2, rng, monkeypatch):
         assert len(made) == count, name
 
 
+@pytest.mark.parametrize("dim, depth", [(2, 6), (3, 5)], ids=["2d", "3d"])
+def test_every_analysis_before_any_synthesis(db2, rng, monkeypatch, dim,
+                                             depth):
+    # one analysis per axis, on the input, before the first synthesis
+    operators = _tensor_operators(db2, rng, dim, depth)
+    calls = []
+    for name in ("analyze_rows", "synthesize_rows"):
+        def traced(*args, _name=name, _fn=getattr(mra1d, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(mra1d, name, traced)
+    for name in ("square_function", "project_nd", "sign_operator",
+                 "mixed_detail"):
+        calls.clear()
+        operators[name]()
+        assert calls.count("analyze_rows") == dim, name
+        first_synthesis = calls.index("synthesize_rows")
+        assert calls[first_synthesis:].count("analyze_rows") == 0, name
+
+
 @pytest.mark.parametrize("shape", [(40, 36), (12, 20, 18)], ids=["2d", "3d"])
 def test_tensor_pass_frees_each_frame(db2, rng, monkeypatch, shape):
-    # when the product is built, only its own output rows are alive: every
-    # layout (whose release also frees that axis's pyramid) and every
-    # earlier output is gone
+    # when a product's GridFunction is built, every earlier product's
+    # synthesised frame is gone; so is the last when the root is taken
     f = noise(rng, shape, 6, (3,) + (-2,) * (len(shape) - 1))
-    arrays, alive = [], []
-    layout, level_sums = mrand.axis_layout, mra1d.level_sums
+    frames, alive = [], []
+    synthesize_nd = mrand.synthesize_nd
     post_init = gf.GridFunction.__post_init__
 
-    def traced_layout(*args):
-        rows, back = layout(*args)
-        arrays.append(weakref.ref(rows))
-        return rows, back
-
-    def record(out):
-        arrays.append(weakref.ref(out[0]))
+    def traced_synthesis(*args):
+        out = synthesize_nd(*args)
+        frames.append(weakref.ref(out.data))
         return out
-
-    def traced_sums(*args):
-        yield from map(record, level_sums(*args))
 
     def count(self):
         post_init(self)
-        alive.append(sum(r() is not None for r in arrays))
+        alive.append(sum(r() is not None for r in frames))
 
-    monkeypatch.setattr(mrand, "axis_layout", traced_layout)
-    monkeypatch.setattr(mra1d, "level_sums", traced_sums)
+    monkeypatch.setattr(mrand, "synthesize_nd", traced_synthesis)
     monkeypatch.setattr(gf.GridFunction, "__post_init__", count)
-    mrand.project_nd(f, 1, db2)
-    assert len(arrays) == 2 * len(shape)
-    assert alive == [1]
+    lp.square_function(f, 1, db2)
+    assert len(frames) == 2 ** len(shape)
+    assert alive == [0] * (len(frames) + 1)
