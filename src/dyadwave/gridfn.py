@@ -13,14 +13,23 @@ of inclusion-exclusion and box enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import BadExponent, DepthMismatch
+from .errors import BadExponent, DepthMismatch, FrameTooLarge
 
 MAX_DIM = 3
+# cells in one tile of a frame read tile by tile: whole rows (planes in
+# 3-D) of about this many cells, or in 1-D a run of this many columns
+TILE_CELLS = 1 << 18
+# one materialised frame may take 1/FRAME_MEMORY_PARTS of the memory budget
+FRAME_MEMORY_PARTS = 6
 
 
 def _as_tuple(value, dim):
@@ -60,11 +69,15 @@ class GridFunction:
 
     @property
     def dim(self):
-        return self.data.ndim
+        return len(self.shape)
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
 
     @property
     def cell_volume(self):
@@ -73,6 +86,19 @@ class GridFunction:
     def box(self):
         """Per-axis (lo, hi) of the bounding box in grid units, half open."""
         return tuple((o, o + n) for o, n in zip(self.origin, self.shape))
+
+    def tile(self, a, b):
+        """The cells data[a:b] along axis 0."""
+        return self.data[a:b]
+
+    def tiles(self):
+        """The cells in tiles along axis 0, in flat (row-major) order: whole
+        rows, or planes in 3-D, of about TILE_CELLS cells; in 1-D runs of
+        TILE_CELLS columns."""
+        n = self.shape[0]
+        step = max(1, TILE_CELLS // max(1, math.prod(self.shape[1:])))
+        for a in range(0, n, step):
+            yield self.tile(a, min(n, a + step))
 
     def __add__(self, other):
         return combine(self, other, np.add)
@@ -91,6 +117,102 @@ class GridFunction:
         return self * (-1.0)
 
 
+class TiledFunction(GridFunction):
+    """A GridFunction whose cells are made on demand, tile by tile.
+
+    ``make(a, b)`` returns the cells data[a:b] along axis 0.  Reading
+    ``data`` fills the whole frame once, through :meth:`tiles`, and keeps
+    it; that fill is where the frame budget (:func:`check_frame`) applies.
+    :func:`lp_norms` reads the tiles and never holds the frame.
+    """
+
+    def __init__(self, make, shape, dtype, depth, origin):
+        for name, value in (("_make", make), ("_shape", tuple(shape)),
+                            ("_dtype", np.dtype(dtype)), ("_frame", None),
+                            ("depth", int(depth)),
+                            ("origin", _as_tuple(origin, len(shape)))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self):
+        return self._shape
+
+    @property
+    def dtype(self):
+        return self._dtype
+
+    @property
+    def data(self):
+        if self._frame is None:
+            check_frame(self.shape, self.dtype)
+            frame, a = np.empty(self.shape, self.dtype), 0
+            for cells in self.tiles():
+                frame[a:a + len(cells)] = cells
+                a += len(cells)
+            frame.setflags(write=False)
+            object.__setattr__(self, "_frame", frame)
+        return self._frame
+
+    def tile(self, a, b):
+        if self._frame is not None:
+            return self._frame[a:b]
+        return self._make(a, b)
+
+
+@functools.cache
+def _cgroup_limit():
+    """The lowest memory limit, in bytes, of the cgroups holding this
+    process, or None.
+
+    Reads (only reads) cgroup v2 ``memory.max`` and v1
+    ``memory.limit_in_bytes`` of the process's own cgroup and of each
+    ancestor; a value that is not a number ("max") sets no limit.  Read
+    once per process.
+    """
+    try:
+        lines = Path("/proc/self/cgroup").read_text().splitlines()
+    except OSError:
+        return None
+    limits = []
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        if not controllers:  # v2, the unified hierarchy
+            root, name = "/sys/fs/cgroup", "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = "/sys/fs/cgroup/memory", "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [part for part in path.split("/") if part]
+        for i in range(len(parts) + 1):
+            try:
+                text = Path(root, *parts[:i], name).read_text().strip()
+            except OSError:
+                continue
+            if text.isdigit():
+                limits.append(int(text))
+    return min(limits, default=None)
+
+
+def memory_budget():
+    """Bytes this process may use: physical memory, or the cgroup limit
+    where that is lower."""
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    limit = _cgroup_limit()
+    return phys if limit is None else min(phys, limit)
+
+
+def check_frame(shape, dtype):
+    """Raise FrameTooLarge, before any allocation, for a frame over
+    1/FRAME_MEMORY_PARTS of the memory budget."""
+    dtype = np.dtype(dtype)
+    budget = memory_budget()
+    if math.prod(shape) * dtype.itemsize * FRAME_MEMORY_PARTS > budget:
+        raise FrameTooLarge(
+            f"a {' x '.join(map(str, shape))} {dtype} frame is over "
+            f"1/{FRAME_MEMORY_PARTS} of the memory budget ({budget >> 20} "
+            "MiB, the lower of physical memory and the cgroup limit)")
+
+
 def union_box(*boxes):
     dims = {len(b) for b in boxes}
     if len(dims) != 1:
@@ -101,7 +223,7 @@ def union_box(*boxes):
 
 def embed(f, box):
     """Zero-extend f onto a covering box; returns a plain array."""
-    out = np.zeros(tuple(hi - lo for lo, hi in box), dtype=f.data.dtype)
+    out = np.zeros(tuple(hi - lo for lo, hi in box), dtype=f.dtype)
     out[_slot(f, box)] = f.data
     return out
 
@@ -112,12 +234,24 @@ def _slot(f, box):
                  for (lo, _), fo, n in zip(box, f.origin, f.shape))
 
 
+def tile_part(f, box, a, b):
+    """(index, cells): f's cells in the tile a..b along axis 0 of a frame
+    on a covering box, and their index within the tile; None if f has no
+    cell there."""
+    off = f.origin[0] - box[0][0]
+    lo, hi = max(a, off), min(b, off + f.shape[0])
+    if lo >= hi:
+        return None
+    return ((slice(lo - a, hi - a),) + _slot(f, box)[1:],
+            f.tile(lo - off, hi - off))
+
+
 def combine(f, g, op):
     """op(f, g) cellwise on the union box, both zero-extended.
 
-    op is a binary ufunc with op(x, 0) == x (add, subtract): f is embedded
-    once and op runs in place on g's slice, so only the output is
-    allocated.
+    The result is made tile by tile on demand (:class:`TiledFunction`).
+    op is a binary ufunc with op(x, 0) == x (add, subtract): per tile f's
+    cells are copied onto zeros and op runs in place on g's slice.
     """
     if not isinstance(g, GridFunction):
         return NotImplemented
@@ -126,10 +260,21 @@ def combine(f, g, op):
     if f.dim != g.dim:
         raise ValueError(f"dimensions {f.dim} != {g.dim}")
     box = union_box(f.box(), g.box())
-    out = embed(f, box).astype(np.result_type(f.data, g.data), copy=False)
-    sel = _slot(g, box)
-    op(out[sel], g.data, out=out[sel])
-    return GridFunction(out, f.depth, tuple(lo for lo, _ in box))
+    shape = tuple(hi - lo for lo, hi in box)
+    dtype = np.result_type(f.dtype, g.dtype)
+
+    def make(a, b):
+        out = np.zeros((b - a,) + shape[1:], dtype)
+        part = tile_part(f, box, a, b)
+        if part:
+            out[part[0]] = part[1]
+        part = tile_part(g, box, a, b)
+        if part:
+            op(out[part[0]], part[1], out=out[part[0]])
+        return out
+
+    return TiledFunction(make, shape, dtype, f.depth,
+                         tuple(lo for lo, _ in box))
 
 
 def sample(fn, depth, box):
@@ -260,16 +405,35 @@ def lp_norms(f, ps):
     SUM_LEAF cells split as numpy's pairwise sum splits (:func:`_pairwise`):
     each sum has the bits of ``np.sum`` over the frame, pinned by
     ``test_lp_norms_share_roots_bit_for_bit``, and no temporary outgrows a
-    leaf.  None of it depends on the SIMD target, the BLAS, or alignment.
+    leaf.  The cells are read through ``f.tiles()`` (views of an array,
+    tiles made on demand for a :class:`TiledFunction`), the leaves handed
+    out in order across tile borders, so the frame is never held whole.
+    None of it depends on the SIMD target, the BLAS, or alignment.
     Moduli outside about 1e-154..1e154 under- or overflow in |f|^2.
     """
     for p in ps:
         if not np.isreal(p) or not np.isfinite(p) or p <= 1:
             raise BadExponent(f"exponent must be finite and > 1, got {p!r}")
     ps = [float(p) for p in ps]
-    qs, cells = [p / 2 for p in ps], f.data.reshape(-1)
-    sums = _pairwise(cells.size, lambda lo, hi: _power_sums(
-        abs_sq(cells[lo:hi]), qs))
+    qs = [p / 2 for p in ps]
+    tiles = (cells.reshape(-1) for cells in f.tiles())
+    rest = np.empty(0, f.dtype)
+
+    def leaf(lo, hi):
+        # leaves come in flat order: this one starts where the last ended
+        nonlocal rest
+        parts, need = [], hi - lo
+        while need > rest.size:
+            if rest.size:
+                parts.append(rest)
+                need -= rest.size
+            rest = next(tiles)
+        parts.append(rest[:need])
+        rest = rest[need:]
+        cells = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return _power_sums(abs_sq(cells), qs)
+
+    sums = _pairwise(math.prod(f.shape), leaf)
     return [float(total * f.cell_volume) ** (1.0 / p)
             for total, p in zip(sums, ps)]
 

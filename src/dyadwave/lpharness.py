@@ -24,7 +24,8 @@ import numpy as np
 
 from . import mrand
 from .errors import NonProductPattern, TooManyTerms
-from .gridfn import SUM_LEAF, GridFunction, _slot, abs_sq, lp_norms, sample
+from .gridfn import (GridFunction, TiledFunction, abs_sq, lp_norms, sample,
+                     tile_part)
 
 
 # ---------------------------------------------------------------------------
@@ -98,25 +99,29 @@ def square_function(f, max_level, banks):
 
     Returns a nonnegative real-valued grid function; monotone in max_level
     pointwise since blocks only accumulate.  The blocks come from
-    :func:`mrand.tensor_sums`.  Each adds its |.|^2 from
-    :func:`gridfn.abs_sq` (v*v, or re*re + im*im) in the fixed
-    depth-first block order, in place and in row tiles of about
-    SUM_LEAF cells, and the root is the correctly rounded ``np.sqrt``, so
-    the result does not depend on the SIMD target or the BLAS.
+    :func:`mrand.tensor_sums`, each kept synthesised along every axis but
+    the last.  The result is made tile by tile on demand
+    (:class:`gridfn.TiledFunction`): per tile each block adds its |.|^2
+    from :func:`gridfn.abs_sq` (v*v, or re*re + im*im) in the fixed
+    depth-first block order, and the root is the correctly rounded
+    ``np.sqrt``, so the result does not depend on the SIMD target or the
+    BLAS, nor on the tiles.
     """
     weights = [mrand.detail_weights(k) for k in range(max_level + 1)]
-    acc = None
-    for block in mrand.tensor_sums(f, [weights] * f.dim, banks):
-        if acc is None:
-            # the first block, of level 0 on every axis, spans every later
-            # block; 0 + |z|^2 has the bits of |z|^2
-            origin, box, acc = block.origin, block.box(), np.zeros(block.shape)
-        sub = acc[_slot(block, box)]
-        rows = max(1, SUM_LEAF * len(sub) // max(1, sub.size))
-        for r in range(0, len(sub), rows):
-            sub[r:r + rows] += abs_sq(block.data[r:r + rows])
-        del block, sub  # freed before the next block is built
-    return GridFunction(np.sqrt(acc, out=acc), f.depth, origin)
+    blocks = list(mrand.tensor_sums(f, [weights] * f.dim, banks))
+    # the first block, of level 0 on every axis, spans every later block;
+    # 0 + |z|^2 has the bits of |z|^2
+    box, shape = blocks[0].box(), blocks[0].shape
+
+    def make(a, b):
+        acc = np.zeros((b - a,) + shape[1:])
+        for block in blocks:
+            part = tile_part(block, box, a, b)
+            if part:
+                acc[part[0]] += abs_sq(part[1])
+        return np.sqrt(acc, out=acc)
+
+    return TiledFunction(make, shape, np.float64, f.depth, blocks[0].origin)
 
 
 def sign_operator(f, pattern, banks):
@@ -366,8 +371,8 @@ def _entry_records(args):
             p=float(p), depth=f.depth, max_level=max_level, norm_f=0.0,
             norm_sf=0.0, ratio=0.0, sign_ratio_max=0.0, tail_rel=0.0,
             status="skipped", reason="zero norm") for p in p_list]
-    # each operator output is reduced to its norms at once, so at most one
-    # of them is alive at a time
+    # each operator output, the tail f - E_K f too, makes its cells tile by
+    # tile as lp_norms reads them: no frame of any of them is held
     nsf = lp_norms(square_function(f, max_level, assignment), p_list)
     tail = lp_norms(
         f - mrand.project_nd(f, (max_level,) * f.dim, assignment), p_list)

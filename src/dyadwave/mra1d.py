@@ -20,23 +20,19 @@ A weighted sum of projections moves between levels in coefficient space
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import refinable
-from .errors import FrameTooLarge, LevelOverflow, ResolutionExhausted
-from .gridfn import GridFunction
+from .errors import LevelOverflow, ResolutionExhausted
+from .gridfn import GridFunction, check_frame
 
 LEVEL_HEADROOM = 4
 # bound on one temporary of the synthesis loop
 SCATTER_TILE_BYTES = 1 << 18
 # elements in one of the buffers through which einsum casts its operands
 EINSUM_BUFFER = 8192
-# one synthesised frame may take 1/FRAME_MEMORY_PARTS of physical memory:
-# a sweep holds several frames the size of its largest at once
-FRAME_MEMORY_PARTS = 6
 
 
 def _check_level(level, depth):
@@ -96,34 +92,45 @@ def _gather(rows, first, count, stride, taps):
     return out if np.iscomplexobj(rows) else np.ascontiguousarray(out.real)
 
 
-def _scatter(coeffs, taps, stride):
+def _scatter(coeffs, taps, stride, cols=None):
     """out[:, j * stride + t] = sum over j of coeffs[:, j] * taps[t].
 
-    Each cell receives its terms in ascending j.  The loop runs over the
-    shorter of j and t: over j it adds a run of all taps per coefficient,
-    over t, in descending order, one tap times a run of all coefficients.
-    Row tiles keep temporaries under SCATTER_TILE_BYTES where a row fits.
-    An output over the frame budget raises FrameTooLarge unallocated.
+    cols = (a, b) makes the output columns a..b-1 only, for a tile of a
+    one-row frame; None makes every column.  Each cell receives its terms
+    in ascending j, so a window has the bits of the same columns of the
+    whole output.  The loop runs over the shorter of the j and the t that
+    reach the window: over j it adds a run of taps per coefficient, over
+    t, in descending order, one tap times a run of coefficients.  Row
+    tiles keep temporaries under SCATTER_TILE_BYTES where a row fits.  An
+    output over the frame budget raises FrameTooLarge unallocated
+    (:func:`gridfn.check_frame`).
     """
     rows, count = coeffs.shape
-    shape = (rows, (count - 1) * stride + taps.size)
+    a, b = cols or (0, (count - 1) * stride + taps.size)
     dtype = np.result_type(coeffs, taps)
-    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if rows * shape[1] * dtype.itemsize * FRAME_MEMORY_PARTS > phys:
-        raise FrameTooLarge(f"a {rows} x {shape[1]} {dtype} frame is over "
-                            f"1/{FRAME_MEMORY_PARTS} of physical memory "
-                            f"({phys >> 20} MiB)")
-    out = np.zeros(shape, dtype=dtype)
-    by_shift = count <= taps.size
+    check_frame((rows, b - a), dtype)
+    out = np.zeros((rows, b - a), dtype=dtype)
+    # the coefficients j0..j1-1 reach the window
+    j0 = max(0, (a - taps.size) // stride + 1)
+    j1 = min(count, (b - 1) // stride + 1)
+    by_shift = j1 - j0 <= taps.size
     tile = max(1, SCATTER_TILE_BYTES // (out.itemsize * max(count, taps.size)))
     for r0 in range(0, rows, tile):
         c, o = coeffs[r0:r0 + tile], out[r0:r0 + tile]
         if by_shift:
-            for j in range(count):
-                o[:, j * stride:j * stride + taps.size] += c[:, j:j + 1] * taps
+            for j in range(j0, j1):
+                lo = max(a, j * stride)
+                hi = min(b, j * stride + taps.size)
+                run = taps[lo - j * stride:hi - j * stride]
+                o[:, lo - a:hi - a] += c[:, j:j + 1] * run
         else:
             for t in range(taps.size - 1, -1, -1):
-                o[:, t:t + (count - 1) * stride + 1:stride] += c * taps[t]
+                # the j with j * stride + t in the window
+                lo = max(j0, -((t - a) // stride))
+                hi = min(j1, (b - 1 - t) // stride + 1)
+                if lo < hi:
+                    o[:, lo * stride + t - a:(hi - 1) * stride + t - a + 1:
+                      stride] += c[:, lo:hi] * taps[t]
     return out
 
 
@@ -145,21 +152,31 @@ def analyze_rows(rows, origin, depth, level, bank):
     return coeffs, nu_min
 
 
-def synthesize_rows(coeffs, shift_first, level, bank, depth):
-    """Pointwise sums sum_nu c_nu phi(2^level x - nu) on a depth-J grid.
-
-    Returns (rows, origin in grid units); the box is the union of the
-    shifted, scaled supports.
-    """
+def _synthesis_taps(level, bank, depth):
     gap = depth - level
     if gap < LEVEL_HEADROOM:
         raise ResolutionExhausted(
             f"depth {depth} leaves gap {gap} < {LEVEL_HEADROOM} at level {level}")
-    primal = bank.primal
-    u = _table(bank, "primal", gap).midpoint_samples(gap)
-    m = 1 << gap
-    return (_scatter(coeffs, u, m),
-            (shift_first + primal.n_first) * m)
+    return _table(bank, "primal", gap).midpoint_samples(gap), 1 << gap
+
+
+def synthesis_box(count, shift_first, level, bank, depth):
+    """(origin, width) in grid units of the rows :func:`synthesize_rows`
+    makes from count coefficients."""
+    u, m = _synthesis_taps(level, bank, depth)
+    return (shift_first + bank.primal.n_first) * m, (count - 1) * m + u.size
+
+
+def synthesize_rows(coeffs, shift_first, level, bank, depth, cols=None):
+    """Pointwise sums sum_nu c_nu phi(2^level x - nu) on a depth-J grid.
+
+    Returns (rows, origin in grid units); the box is the union of the
+    shifted, scaled supports.  cols = (a, b) makes only the columns a..b-1
+    of the box (:func:`_scatter`); the origin is still the box's.
+    """
+    u, m = _synthesis_taps(level, bank, depth)
+    return (_scatter(coeffs, u, m, cols),
+            (shift_first + bank.primal.n_first) * m)
 
 
 def top_level(weight_vectors, depth):

@@ -14,13 +14,14 @@ agreement is a primary test, not an assumption.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from . import mra1d, refinable
 from .errors import AxisOutOfRange
-from .gridfn import (GridFunction, _as_tuple, box_range, pattern_parity,
-                     pattern_within, sign_patterns)
+from .gridfn import (GridFunction, TiledFunction, _as_tuple, box_range,
+                     pattern_parity, pattern_within, sign_patterns)
 
 # side of the square tiles of a transposing row copy, in elements
 LAYOUT_TILE = 64
@@ -122,16 +123,39 @@ def _levels_tuple(levels, dim):
 def synthesize_nd(coeffs, shift_firsts, levels, banks, depth):
     """Tensor synthesis of a dense coefficient array at a level vector.
 
-    One axis at a time, axis 0 first, so the contiguous last axis is
-    synthesised last; between axes a plain array holds coefficients, from
-    their first shifts, along the axes still to do.
+    Every axis but the last is synthesised here, axis 0 first; between
+    axes a plain array holds coefficients, from their first shifts, along
+    the axes still to do.  What is kept is the stack of last-axis
+    coefficient rows, (W0, c) in 2-D.  The contiguous last axis is
+    synthesised when cells are read, one tile at a time
+    (:class:`gridfn.TiledFunction`): a block of whole rows (planes in 3-D)
+    from the same rows of the stack, or in 1-D a run of columns.
     """
     data, origin = np.asarray(coeffs), tuple(shift_firsts)
-    for axis, bank in enumerate(banks_for(banks, data.ndim)):
+    banks = banks_for(banks, data.ndim)
+    last = data.ndim - 1
+    for axis in range(last):
         rows, back = axis_layout(data, origin, axis)
         data, origin = back(*mra1d.synthesize_rows(
-            rows, origin[axis], levels[axis], bank, depth))
-    return GridFunction(data, depth, origin)
+            rows, origin[axis], levels[axis], banks[axis], depth))
+    rows, _ = axis_layout(data, origin, last)
+    lead = data.shape[:-1]
+    first, width = mra1d.synthesis_box(rows.shape[1], origin[last],
+                                       levels[last], banks[last], depth)
+    per_index = math.prod(lead[1:])  # stack rows per index along axis 0
+
+    def make(a, b):
+        if not lead:
+            return mra1d.synthesize_rows(rows, origin[0], levels[0], banks[0],
+                                         depth, cols=(a, b))[0][0]
+        out, _ = mra1d.synthesize_rows(rows[a * per_index:b * per_index],
+                                       origin[last], levels[last],
+                                       banks[last], depth)
+        return out.reshape((b - a,) + lead[1:] + (width,))
+
+    return TiledFunction(make, lead + (width,),
+                         np.result_type(rows.dtype, np.float64), depth,
+                         origin[:last] + (first,))
 
 
 def tensor_sums(f, weight_lists, banks):
@@ -140,7 +164,9 @@ def tensor_sums(f, weight_lists, banks):
     f is analysed once per axis, at that axis's highest weighted level, the
     last axis first (its rows are a view).  Each product, axis 0 outermost
     and depth first, runs :func:`mra1d.level_sum` axis by axis on the
-    coefficient tensor and yields its :func:`synthesize_nd` GridFunction.
+    coefficient tensor and yields its :func:`synthesize_nd` GridFunction,
+    which keeps the product synthesised along every axis but the last and
+    makes its cells tile by tile.
     """
     banks = banks_for(banks, f.dim)
     tops = [mra1d.top_level(w, f.depth) for w in weight_lists]

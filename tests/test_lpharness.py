@@ -1,4 +1,7 @@
+import dataclasses
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from dyadwave import gridfn as gf
 from dyadwave import lpharness as lp
 from dyadwave import mra1d, mrand
-from dyadwave.errors import NonProductPattern, TooManyTerms
+from dyadwave.errors import FrameTooLarge, NonProductPattern, TooManyTerms
 
 
 def block_member(bank, level, depth, rng, dim=1):
@@ -349,18 +352,111 @@ def test_real_input_gives_real_part_of_complex(registry, rng, bank_name, shape,
 
 
 def test_real_sweep_members_stay_real(db4, monkeypatch):
-    # every grid function a sweep of real members builds is float64
+    # every grid function a sweep of real members builds, and every tile
+    # made on demand, is float64
     corpus = lp.standard_corpus(1, 10, 7) + lp.standard_corpus(2, 6, 7)
     made = []
-    post_init = gf.GridFunction.__post_init__
+    post_init, tile = gf.GridFunction.__post_init__, gf.TiledFunction.tile
 
     def record(self):
         post_init(self)
         made.append(self.data.dtype)
 
+    def record_tile(self, a, b):
+        cells = tile(self, a, b)
+        made.extend([self.dtype, cells.dtype])
+        return cells
+
     monkeypatch.setattr(gf.GridFunction, "__post_init__", record)
+    monkeypatch.setattr(gf.TiledFunction, "tile", record_tile)
     for dim in (1, 2):
         members = [m for m in corpus if m[1].dim == dim]
         assert all(f.data.dtype == np.float64 for _, f in members)
         lp.lp_sweep(members, [1.5, 2, 4], db4, 2, trials=2, seed=7)
     assert len(made) > 100 and set(made) == {np.dtype(np.float64)}
+
+
+# ---------------------------------------------------------------------------
+# operator outputs made tile by tile
+
+
+PS = [1.25, 1.5, 2.0, 3.3, 4.0]
+
+
+def _sweep_outputs(f, bank, level):
+    pattern = lp.SignPattern.random(f.dim, level, np.random.default_rng(3))
+    return {"square_function": lp.square_function(f, level, bank),
+            "sign_operator": lp.sign_operator(f, pattern, bank),
+            "tail": f - mrand.project_nd(f, (level,) * f.dim, bank)}
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("shape, depth, origin", [
+    ((2 ** 9 + 7,), 9, (-3,)),
+    ((37, 2 ** 6 + 5), 7, (3, -2)),
+    ((6, 19, 11), 5, (1, -1, 2)),
+], ids=["1d", "2d", "3d"])
+def test_streamed_outputs_equal_materialised(db2, rng, monkeypatch, kind,
+                                             shape, depth, origin):
+    # whole frames first: a tile as large as the frame is one kernel call
+    # over it.  Then tiles of 7 cells (a row or a plane in 2-D and 3-D,
+    # 7 columns in 1-D) and leaves of 1,000 cells, so tile borders cut the
+    # leaves: the norms read tile by tile equal those of the filled frame,
+    # and the frame equals the whole-frame result
+    data = rng.standard_normal(shape)
+    if kind == "complex":
+        data = data + 1j * rng.standard_normal(shape)
+    f = gf.GridFunction(data, depth, origin)
+    level = 2 if len(shape) < 3 else 1
+    monkeypatch.setattr(gf, "TILE_CELLS", 1 << 40)
+    whole = {name: (g.origin, g.data)
+             for name, g in _sweep_outputs(f, db2, level).items()}
+    monkeypatch.setattr(gf, "TILE_CELLS", 7)
+    monkeypatch.setattr(gf, "SUM_LEAF", 1000)
+    for name, g in _sweep_outputs(f, db2, level).items():
+        norms = gf.lp_norms(g, PS)
+        assert isinstance(g, gf.TiledFunction) and g._frame is None, name
+        assert norms == gf.lp_norms(gf.GridFunction(g.data, depth, g.origin),
+                                    PS), name
+        assert g.origin == whole[name][0], name
+        assert g.data.dtype == whole[name][1].dtype, name
+        assert g.data.tobytes() == whole[name][1].tobytes(), name
+
+
+def _block_member(db4, depth):
+    assignment = mrand.banks_for(db4, 2)
+    corpus = lp.standard_corpus(2, depth, 601, banks=assignment,
+                                block_level=1)
+    return assignment, [m for m in corpus if m[0] == "block-0"]
+
+
+def test_sweep_entry_holds_no_frame(db4):
+    # one sweep entry of a 2-D db4 member of V_1 at depth 7 peaks under
+    # half of its largest block frame, the complex level-0 block
+    assignment, member = _block_member(db4, 7)
+    f = member[0][1]
+    largest = math.prod(lp.square_function(f, 1, assignment).shape) * 16
+    args = ("block-0", f, [1.25, 2.0, 4.0], assignment, 1, 1, 601, 0)
+    lp._entry_records(args)  # tables and the member filled beforehand
+    tracemalloc.start()
+    try:
+        lp._entry_records(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < largest / 2, (peak, largest)
+
+
+def test_budget_guards_materialised_frames_only(db4, monkeypatch):
+    # a budget below the square function's frame refuses that frame when
+    # it is read, and the sweep, which never reads it, keeps its records
+    assignment, member = _block_member(db4, 7)
+    sweep = functools.partial(lp.lp_sweep, member, [1.5, 2.0], assignment,
+                              1, trials=1, seed=601)
+    want = [dataclasses.replace(r, runtime=0.0) for r in sweep()[0]]
+    frame = math.prod(lp.square_function(member[0][1], 1, assignment).shape)
+    monkeypatch.setattr(gf, "_cgroup_limit",
+                        lambda: frame * 8 * gf.FRAME_MEMORY_PARTS - 1)
+    assert [dataclasses.replace(r, runtime=0.0) for r in sweep()[0]] == want
+    with pytest.raises(FrameTooLarge):
+        lp.square_function(member[0][1], 1, assignment).data

@@ -1,4 +1,5 @@
 import os
+from pathlib import PurePosixPath
 
 import numpy as np
 import pytest
@@ -265,6 +266,27 @@ def test_scatter_adds_in_shift_order(rng, monkeypatch, count, ntaps, stride):
         assert got.dtype == coeffs.dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("count, ntaps, stride", [
+    (40, 7, 2), (40, 24, 4), (5, 48, 16), (300, 48, 16)])
+def test_scatter_window_has_the_bits_of_the_frame(rng, count, ntaps,
+                                                   stride):
+    # a window of columns, made by either loop, has the bits of the same
+    # columns of the whole output: edges, single columns, odd runs
+    c = rng.standard_normal((3, count)) + 1j * rng.standard_normal((3, count))
+    taps = rng.standard_normal(ntaps)
+    for coeffs in (c, c.real.copy(), c[:1]):
+        whole = mra1d._scatter(coeffs, taps, stride)
+        width = whole.shape[1]
+        windows = [(0, width), (0, 1), (width - 1, width),
+                   (stride + 1, min(width, 3 * stride + ntaps - 1))]
+        for a, b in rng.integers(0, width, size=(12, 2)):
+            windows.append((min(a, b), max(a, b) + 1))
+        for a, b in windows:
+            got = mra1d._scatter(coeffs, taps, stride, (a, b))
+            assert got.dtype == whole.dtype
+            assert got.tobytes() == whole[:, a:b].tobytes(), (a, b)
+
+
 def _padded_gather(rows, first, count, stride, taps):
     """Oracle: the windows as a strided view of zero-padded rows."""
     pad_l = max(0, -first)
@@ -345,3 +367,55 @@ def test_scatter_refuses_frame_over_memory_budget(monkeypatch, rng):
         mra1d._scatter(np.ones((128, 2)), taps, 1024)
     with pytest.raises(FrameTooLarge):
         mra1d._scatter(np.ones((128, 1), dtype=complex), taps, 1024)
+
+
+def test_frame_budget_is_the_lower_of_memory_and_cgroup_limit(monkeypatch):
+    # 64 MiB of physical memory; a cgroup limit below it sets the budget
+    # and a higher one, or none, does not
+    pages = {"SC_PHYS_PAGES": 16384, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    for limit, budget in [(None, 64 << 20), (1 << 40, 64 << 20),
+                          (48 << 20, 48 << 20)]:
+        monkeypatch.setattr(gf, "_cgroup_limit", lambda: limit)
+        assert gf.memory_budget() == budget
+    # a 1,024 x 1,024 float64 frame, 8 MiB, takes a sixth of 48 MiB
+    gf.check_frame((1024, 1024), np.float64)
+    frame = mra1d._scatter(np.ones((1024, 1)), np.ones(1024), 1)
+    assert frame.nbytes == 8 << 20
+    monkeypatch.setattr(gf, "_cgroup_limit", lambda: (48 << 20) - 1)
+    with pytest.raises(FrameTooLarge, match="cgroup limit"):
+        gf.check_frame((1024, 1024), np.float64)
+    with pytest.raises(FrameTooLarge):
+        mra1d._scatter(np.ones((1024, 1)), np.ones(1024), 1)
+
+
+def test_cgroup_limit_reads_v1_and_v2_files(monkeypatch):
+    # the lowest number among the process's cgroup and its ancestors, in
+    # the v1 memory hierarchy and the v2 unified one; "max" is no limit,
+    # and other v1 controllers are not read
+    files = {
+        "/proc/self/cgroup": "5:cpu:/x\n4:memory:/a/b\n0::/c\n",
+        "/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n",
+        "/sys/fs/cgroup/memory/a/memory.limit_in_bytes": "3000000000\n",
+        "/sys/fs/cgroup/memory/a/b/memory.limit_in_bytes":
+            "9223372036854771712\n",
+        "/sys/fs/cgroup/memory/x/memory.limit_in_bytes": "1\n",
+        "/sys/fs/cgroup/c/memory.max": "max\n",
+    }
+
+    class FakePath(PurePosixPath):
+        def read_text(self):
+            if str(self) not in files:
+                raise FileNotFoundError(str(self))
+            return files[str(self)]
+
+    monkeypatch.setattr(gf, "Path", FakePath)
+    read = gf._cgroup_limit.__wrapped__  # past the once-per-process memo
+    assert read() == 3000000000
+    files["/sys/fs/cgroup/memory.max"] = "2000000000\n"
+    assert read() == 2000000000
+    files["/proc/self/cgroup"] = "0::/c\n"
+    files["/sys/fs/cgroup/memory.max"] = "max\n"
+    assert read() is None
+    del files["/proc/self/cgroup"]
+    assert read() is None
