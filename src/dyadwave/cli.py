@@ -1,7 +1,8 @@
 """Experiment driver.
 
-Commands: filters, table, identities, lp-sweep, cz, report.  Every run is
-configured by an optional structured-text config file plus flags, flags
+Commands: filters, table, identities, lp-sweep, cz, report.  Every setting
+is declared once, as a flag with its type and default in ``build_parser``;
+an optional structured-text config file sets those defaults, flags
 winning; all randomness is seeded explicitly, and identical config + seeds
 produce byte-identical CSV artifacts.  Exit codes: 0 all checks pass, 1 at
 least one tolerance failure, 2 configuration or IO error.
@@ -26,38 +27,32 @@ EXIT_CONFIG = 2
 
 
 def parse_config(path):
-    """key: value lines, '#' comments."""
-    out = {}
-    path = Path(path)
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ParseError(path, lineno, f"expected 'key: value', got {line!r}")
-        key, _, value = line.partition(":")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+    """{dest: text} of a file of key: value lines with '#' comments; a key
+    names its flag's dest, '-' and '_' alike."""
+    return refinable.read_key_values(
+        path, lambda key: key.replace("-", "_"))[0]
 
 
-def _check_config_keys(args, config):
-    """Refuse a config key the command reads from no flag (--no-X reads X)."""
-    known = {key.removeprefix("no_") for key in vars(args)}
-    unknown = sorted(set(config) - known - {"command", "func", "config"})
+def _with_config(parser, argv, args):
+    """argv parsed again with the config file's values as the command's
+    defaults: a flag still wins, and each value is converted by its flag's
+    type.  Refuses a key that names no flag of the command."""
+    config = parse_config(args.config)
+    settings = set(vars(args)) - {"command", "func", "config"}
+    unknown = sorted(set(config) - settings)
     if unknown:
         raise ValueError(f"{args.command} reads no config key "
                          f"{', '.join(unknown)}")
-
-
-def _setting(args, config, key, default, cast=str):
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key)
-    if value is None:
-        return default
-    if cast is bool and isinstance(value, str):
-        return value.lower() in ("1", "true", "yes", "on")
-    return cast(value)
+    if "plot" in config:
+        config["plot"] = config["plot"].lower() in ("1", "true", "yes", "on")
+    command = parser.commands[args.command]
+    command.set_defaults(**config)
+    # a value that does not convert raises ArgumentError, reported below
+    parser.exit_on_error = command.exit_on_error = False
+    try:
+        return parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
 
 
 def _positive(name, value):
@@ -67,17 +62,16 @@ def _positive(name, value):
     return value
 
 
-def _tolerance_scale(args, config):
-    return _positive("tolerance scale",
-                     _setting(args, config, "tolerance_scale", 1.0, float))
+def _str_list(text):
+    return text.replace(",", " ").split()
+
+
+def _int_list(text):
+    return [int(tok) for tok in _str_list(text)]
 
 
 def _float_list(text):
     return [float(tok) for tok in _str_list(text)]
-
-
-def _str_list(text):
-    return text.replace(",", " ").split()
 
 
 def _load_banks(ids, registry_dir):
@@ -91,21 +85,34 @@ def _load_banks(ids, registry_dir):
     return banks
 
 
-def _out_dir(args, config):
-    out = Path(_setting(args, config, "out", "out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _experiment_banks(args, input_dtype):
+    """Check the settings identities and lp-sweep share, before anything is
+    drawn or written, and return the accepted banks, one per axis.
+    input_dtype is that of the (2^depth)^dim input frames the run draws."""
+    _positive("tolerance scale", args.tolerance_scale)
+    if args.dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2 or 3, got {args.dim}")
+    if args.max_level < 0:
+        raise ValueError(f"max_level must be nonnegative, got {args.max_level}")
+    if args.depth - args.max_level < mra1d.LEVEL_HEADROOM:
+        raise ValueError(
+            f"headroom violated: depth {args.depth} - max_level "
+            f"{args.max_level} < {mra1d.LEVEL_HEADROOM}")
+    banks = _load_banks(args.banks, args.registry)
+    assignment = mrand.banks_for(banks if len(banks) > 1 else banks[0],
+                                 args.dim)
+    gridfn.check_frame((2 ** args.depth,) * args.dim, input_dtype)
+    return assignment
 
 
 # ---------------------------------------------------------------------------
 # filters
 
 
-def cmd_filters(args, config):
-    registry_dir = _setting(args, config, "registry", None)
-    depth = _setting(args, config, "depth", 12, int)
-    scale = _tolerance_scale(args, config)
-    directory = Path(registry_dir) if registry_dir else refinable.packaged_registry_dir()
+def cmd_filters(args):
+    scale = _positive("tolerance scale", args.tolerance_scale)
+    directory = (Path(args.registry) if args.registry
+                 else refinable.packaged_registry_dir())
     paths = sorted(directory.glob("*.txt"))
     if not paths:
         print("0 banks")
@@ -118,8 +125,8 @@ def cmd_filters(args, config):
             print(f"{path.name}: FAIL parse ({exc})")
             failures += 1
             continue
-        residual = refinable.biorthogonality_residual(bank, depth)
-        table = refinable.cascade(bank, "primal", min(depth, 10))
+        residual = refinable.biorthogonality_residual(bank, args.depth)
+        table = refinable.cascade(bank, "primal", min(args.depth, 10))
         refine = refinable.refinement_residual(table, bank)
         pou = refinable.partition_of_unity_residual(table)
         ok = (residual <= refinable.ACCEPTANCE_RESIDUAL * scale
@@ -136,17 +143,13 @@ def cmd_filters(args, config):
 # table
 
 
-def cmd_table(args, config):
-    registry_dir = _setting(args, config, "registry", None)
-    bank_id = _setting(args, config, "bank", None)
-    if bank_id is None:
+def cmd_table(args):
+    if args.bank is None:
         raise ValueError("table needs a bank id (--bank)")
-    which = _setting(args, config, "which", "primal")
-    depth = _setting(args, config, "depth", 12, int)
-    (bank,) = _load_banks([bank_id], registry_dir)
-    table = refinable.DEFAULT_CACHE.get(bank, which, depth)
-    print(f"{bank.bank_id}/{which} depth={depth} points={len(table.values)} "
-          f"checksum={table.checksum[:16]}")
+    (bank,) = _load_banks([args.bank], args.registry)
+    table = refinable.DEFAULT_CACHE.get(bank, args.which, args.depth)
+    print(f"{bank.bank_id}/{args.which} depth={args.depth} "
+          f"points={len(table.values)} checksum={table.checksum[:16]}")
     return EXIT_OK
 
 
@@ -160,21 +163,19 @@ def _identity_battery(banks, dim, depth, max_level, seed):
     assignment = mrand.banks_for(banks if len(banks) > 1 else banks[0], dim)
     rough = any(b.smoothness != "pcw_const" for b in assignment)
     tol = 1e-6 if rough else 1e-8
-    shape = (2 ** depth,) * dim
-    f = gridfn.GridFunction(
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        depth, (0,) * dim)
-    g = gridfn.GridFunction(
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        depth, (0,) * dim)
+
+    def gaussian(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    f = gridfn.GridFunction(gaussian((2 ** depth,) * dim), depth, (0,) * dim)
+    g = gridfn.GridFunction(gaussian((2 ** depth,) * dim), depth, (0,) * dim)
     nf = gridfn.lp_norm(f, 2)
     ng = gridfn.lp_norm(g, 2)
     rows = []
 
     def add(name, measured, bound):
         rows.append({"name": name, "measured": float(measured),
-                     "tolerance": float(bound),
-                     "pass": bool(measured <= bound)})
+                     "tolerance": float(bound)})
 
     # levels 1 and 2 where max_level allows, so no check asks for more
     k1, k2 = min(1, max_level), min(2, max_level)
@@ -185,19 +186,15 @@ def _identity_battery(banks, dim, depth, max_level, seed):
         add(f"idempotence_k{k}",
             gridfn.lp_norm(again - proj[k], 2) / nf, tol)
         del again
-    for k in levels:
-        for kp in levels:
-            if kp >= k:
-                continue
+    for i, k in enumerate(levels):
+        for kp in levels[:i]:
             low = mrand.project_nd(proj[k], (kp,) * dim, assignment)
             add(f"nesting_k{kp}_{k}",
                 gridfn.lp_norm(low - proj[kp], 2) / nf, tol)
             del low
-    for k in levels:
+    for i, k in enumerate(levels):
         block_f = mrand.mixed_detail(f, (k,) * dim, assignment)
-        for kp in levels:
-            if kp >= k:
-                continue
+        for kp in levels[:i]:
             block_g = mrand.mixed_detail(g, (kp,) * dim, assignment)
             add(f"block_orthogonality_k{kp}_{k}",
                 abs(gridfn.inner_product(block_f, block_g)) / (nf * ng), tol)
@@ -224,9 +221,7 @@ def _identity_battery(banks, dim, depth, max_level, seed):
         add("axis_commutation", gridfn.lp_norm(ab - ba, 2) / nf, 1e-10)
     # synthesized member: Parseval and reconstruction, from the same blocks
     n = 2 ** min(3, max_level)
-    coeffs = (rng.standard_normal((n,) * dim)
-              + 1j * rng.standard_normal((n,) * dim))
-    member = mrand.synthesize_nd(coeffs, (0,) * dim,
+    member = mrand.synthesize_nd(gaussian((n,) * dim), (0,) * dim,
                                  (min(3, max_level),) * dim, assignment, depth)
     nm2 = gridfn.lp_norm(member, 2) ** 2
     total, rec = 0.0, None
@@ -240,35 +235,21 @@ def _identity_battery(banks, dim, depth, max_level, seed):
     return rows
 
 
-def cmd_identities(args, config):
-    registry_dir = _setting(args, config, "registry", None)
-    bank_ids = _str_list(_setting(args, config, "banks", "haar"))
-    dim = _setting(args, config, "dim", 1, int)
-    depth = _setting(args, config, "depth", 10, int)
-    max_level = _setting(args, config, "max_level", 4, int)
-    seed = _setting(args, config, "seed", 0, int)
-    scale = _tolerance_scale(args, config)
-    if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-    if depth - max_level < mra1d.LEVEL_HEADROOM:
-        raise ValueError(
-            f"headroom violated: depth {depth} - max_level {max_level} < "
-            f"{mra1d.LEVEL_HEADROOM}")
-    banks = _load_banks(bank_ids, registry_dir)
-    if len(banks) not in (1, dim):
-        raise ValueError(f"need 1 or {dim} banks, got {len(banks)}")
-    out = _out_dir(args, config)
-    rows = _identity_battery(banks, dim, depth, max_level, seed)
+def cmd_identities(args):
+    assignment = _experiment_banks(args, np.complex128)
+    args.out.mkdir(parents=True, exist_ok=True)
+    rows = _identity_battery(assignment, args.dim, args.depth, args.max_level,
+                             args.seed)
     lines = []
     failures = 0
     for row in rows:
-        tol = row["tolerance"] * scale
+        tol = row["tolerance"] * args.tolerance_scale
         ok = row["measured"] <= tol
         failures += 0 if ok else 1
         lines.append(f"{row['name']}: {'PASS' if ok else 'FAIL'} "
                      f"residual={row['measured']:.6e} tolerance={tol:.1e}")
     text = "\n".join(lines) + f"\nchecks = {len(rows)}, failures = {failures}\n"
-    (out / "identities.txt").write_text(text)
+    (args.out / "identities.txt").write_text(text)
     print(text, end="")
     return EXIT_OK if failures == 0 else EXIT_TOLERANCE
 
@@ -277,50 +258,33 @@ def cmd_identities(args, config):
 # lp sweep
 
 
-def cmd_lp_sweep(args, config):
-    registry_dir = _setting(args, config, "registry", None)
-    bank_ids = _str_list(_setting(args, config, "banks", "haar"))
-    dim = _setting(args, config, "dim", 1, int)
-    depth = _setting(args, config, "depth", 10, int)
-    max_level = _setting(args, config, "max_level", 4, int)
-    p_list = _float_list(_setting(args, config, "p_list", "1.5 2 4"))
-    seed = _setting(args, config, "seed", 0, int)
-    trials = _setting(args, config, "trials", 10, int)
-    jobs = _setting(args, config, "jobs", 1, int)
-    scale = _tolerance_scale(args, config)
-    no_plot = bool(getattr(args, "no_plot", False)) or _setting(
-        args, config, "plot", True, bool) is False
-    if any(p <= 1 or not np.isfinite(p) for p in p_list):
-        raise ValueError(f"p values must lie in (1, inf): {p_list}")
-    if max_level < 0 or trials < 0:
-        raise ValueError("max_level and trials must be nonnegative, got "
-                         f"{max_level} and {trials}")
-    if depth - max_level < mra1d.LEVEL_HEADROOM:
-        raise ValueError("headroom violated: depth - max_level < "
-                         f"{mra1d.LEVEL_HEADROOM}")
-    banks = _load_banks(bank_ids, registry_dir)
-    assignment = mrand.banks_for(banks if len(banks) > 1 else banks[0], dim)
-    out = _out_dir(args, config)
+def cmd_lp_sweep(args):
+    if any(p <= 1 or not np.isfinite(p) for p in args.p_list):
+        raise ValueError(f"p values must lie in (1, inf): {args.p_list}")
+    if args.trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {args.trials}")
+    assignment = _experiment_banks(args, np.float64)
+    args.out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    corpus = lpharness.standard_corpus(dim, depth, seed, banks=assignment,
-                                       block_level=max_level)
+    corpus = lpharness.standard_corpus(args.dim, args.depth, args.seed,
+                                       banks=assignment,
+                                       block_level=args.max_level)
     records, summary = lpharness.lp_sweep(
-        corpus, p_list, assignment, max_level, trials=trials, seed=seed,
-        jobs=jobs)
-    lpharness.write_ratio_csv(records, out / "ratios.csv")
-    lpharness.write_summary(summary, out / "summary.txt")
-    if not no_plot:
-        lpharness.write_ratio_svg(records, out / "ratios.svg")
+        corpus, args.p_list, assignment, args.max_level, trials=args.trials,
+        seed=args.seed, jobs=args.jobs)
+    lpharness.write_ratio_csv(records, args.out / "ratios.csv")
+    lpharness.write_summary(summary, args.out / "summary.txt")
+    if args.plot:
+        lpharness.write_ratio_svg(records, args.out / "ratios.svg")
     failures = 0
-    if 2.0 in [float(p) for p in p_list]:
-        for r in records:
-            if (r.status == "ok" and r.p == 2.0
-                    and r.function_id.startswith("block-")
-                    and abs(r.ratio - 1.0) > 1e-6 * scale):
-                failures += 1
-                print(f"p=2 identity violated for {r.function_id}: "
-                      f"ratio={r.ratio!r}")
-    print(f"wrote {out / 'ratios.csv'} ({len(records)} records, "
+    for r in records:
+        if (r.status == "ok" and r.p == 2.0
+                and r.function_id.startswith("block-")
+                and abs(r.ratio - 1.0) > 1e-6 * args.tolerance_scale):
+            failures += 1
+            print(f"p=2 identity violated for {r.function_id}: "
+                  f"ratio={r.ratio!r}")
+    print(f"wrote {args.out / 'ratios.csv'} ({len(records)} records, "
           f"{time.perf_counter() - t0:.2f} s)")
     return EXIT_OK if failures == 0 else EXIT_TOLERANCE
 
@@ -349,20 +313,19 @@ def _cz_corpus_member(depth, seed):
     return gridfn.GridFunction(data, depth, (int(rng.integers(-n, n)),))
 
 
-def cmd_cz(args, config):
-    depth = _setting(args, config, "depth", 10, int)
-    seeds = [int(s) for s in _str_list(_setting(args, config, "seeds", "0 1 2 3 4"))]
-    alphas = [_positive("alpha", a) for a in _float_list(
-        _setting(args, config, "alphas", "0.1 0.3 1.0 3.0 10.0"))]
-    if depth < 0 or any(seed < 0 for seed in seeds):
+def cmd_cz(args):
+    for alpha in args.alphas:
+        _positive("alpha", alpha)
+    if args.depth < 0 or any(seed < 0 for seed in args.seeds):
         raise ValueError("depth and seeds must be nonnegative, got "
-                         f"{depth} and {seeds}")
-    out = _out_dir(args, config)
+                         f"{args.depth} and {args.seeds}")
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
     failures = 0
     runs = 0
-    for seed in seeds:
-        f = _cz_corpus_member(depth, seed)
-        for alpha in alphas:
+    for seed in args.seeds:
+        f = _cz_corpus_member(args.depth, seed)
+        for alpha in args.alphas:
             runs += 1
             tag = f"seed{seed}-alpha{alpha:g}"
             try:
@@ -386,8 +349,8 @@ def cmd_cz(args, config):
 # report
 
 
-def cmd_report(args, config):
-    out = Path(_setting(args, config, "out", "out"))
+def cmd_report(args):
+    out = args.out
     if not out.exists():
         raise FileNotFoundError(f"no artifact directory {out}")
     shown = 0
@@ -411,21 +374,27 @@ def cmd_report(args, config):
 
 
 def build_parser():
+    """Every command's flags with their types and defaults; ``.commands``
+    maps each command name to its subparser."""
     parser = argparse.ArgumentParser(
         prog="dyadwave",
         description="dyadic multiresolution experiment driver")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default is converted by the flag's type, as a config value is
     shared = {
-        "--out": {"help": "output directory (default: out)"},
+        "--out": {"type": Path, "default": "out",
+                  "help": "output directory (default: out)"},
         "--registry": {"help": "filter registry directory"},
-        "--seed": {"type": int, "help": "base RNG seed"},
-        "--jobs": {"type": int, "help": "parallel corpus entries"},
-        "--tolerance-scale": {"type": float,
+        "--seed": {"type": int, "default": 0, "help": "base RNG seed"},
+        "--jobs": {"type": int, "default": 1,
+                   "help": "parallel corpus entries"},
+        "--tolerance-scale": {"type": float, "default": 1.0,
                               "help": "multiply every tolerance by this factor"},
-        "--banks": {"help": "comma-separated bank ids"},
-        "--dim": {"type": int},
-        "--depth": {"type": int},
-        "--max-level": {"type": int},
+        "--banks": {"type": _str_list, "default": "haar",
+                    "help": "comma-separated bank ids"},
+        "--dim": {"type": int, "default": 1},
+        "--depth": {"type": int, "default": 10},
+        "--max-level": {"type": int, "default": 4},
     }
 
     def command(name, func, help, *flags):
@@ -440,13 +409,15 @@ def build_parser():
 
     p = command("filters", cmd_filters, "validate a filter registry",
                 "--registry", "--tolerance-scale")
-    p.add_argument("--depth", type=int, help="quadrature depth (default 12)")
+    p.add_argument("--depth", type=int, default=12,
+                   help="quadrature depth (default 12)")
 
     p = command("table", cmd_table,
                 "print the size and checksum of a generator value table",
                 "--registry", "--depth")
+    p.set_defaults(depth=12)
     p.add_argument("--bank", help="bank id")
-    p.add_argument("--which", choices=("primal", "dual"))
+    p.add_argument("--which", choices=("primal", "dual"), default="primal")
 
     # identities and cz read no --jobs; they accept it so that one flag set
     # (perfbench/workloads.py) drives every command
@@ -458,28 +429,33 @@ def build_parser():
 
     p = command("lp-sweep", cmd_lp_sweep,
                 "square-function / sign-operator sweep", *experiment_flags)
-    p.add_argument("--p-list", help="comma-separated exponents")
-    p.add_argument("--trials", type=int, help="random sign patterns per entry")
-    p.add_argument("--no-plot", action="store_true", help="skip the SVG plot")
+    p.add_argument("--p-list", type=_float_list, default="1.5 2 4",
+                   help="comma-separated exponents")
+    p.add_argument("--trials", type=int, default=10,
+                   help="random sign patterns per entry")
+    p.add_argument("--no-plot", dest="plot", action="store_false",
+                   help="skip the SVG plot")
 
     p = command("cz", cmd_cz, "dyadic decomposition suite",
                 "--out", "--jobs", "--depth")
-    p.add_argument("--seeds", help="comma-separated seeds")
-    p.add_argument("--alphas", help="comma-separated levels")
+    p.add_argument("--seeds", type=_int_list, default="0 1 2 3 4",
+                   help="comma-separated seeds")
+    p.add_argument("--alphas", type=_float_list,
+                   default="0.1 0.3 1.0 3.0 10.0",
+                   help="comma-separated levels")
 
     command("report", cmd_report, "summarize artifacts in an out dir", "--out")
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = {}
     try:
         if args.config:
-            config = parse_config(args.config)
-            _check_config_keys(args, config)
-        return args.func(args, config)
+            args = _with_config(parser, argv, args)
+        return args.func(args)
     except (DyadwaveError, OSError, KeyError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

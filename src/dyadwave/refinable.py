@@ -14,8 +14,8 @@ generators and second-order accurate otherwise.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,8 +93,7 @@ class DyadicTable:
     """Values of a refinable function on its support at step 2**-depth.
 
     ``values[i]`` is the function at ``n_first + i * 2**-depth``; the last
-    entry sits at the right support endpoint.  ``checksum`` is the sha256
-    of the values.
+    entry sits at the right support endpoint.
     """
 
     filter_id: str
@@ -102,11 +101,15 @@ class DyadicTable:
     depth: int
     n_first: int
     values: np.ndarray
-    checksum: str
 
     # Not a field and always None: tables carry no derivative values, but
     # perfbench/spans.py still reads this attribute off every cascade result.
     derivative_values = None
+
+    @property
+    def checksum(self):
+        """sha256 of the values, computed on each read."""
+        return hashlib.sha256(np.ascontiguousarray(self.values)).hexdigest()
 
     @property
     def step(self):
@@ -122,19 +125,6 @@ class DyadicTable:
             raise ValueError(f"table depth {self.depth} too shallow for gap {gap}")
         stride = 2 ** (self.depth - gap)
         return self.values[stride // 2::stride]
-
-
-def _payload_checksum(values):
-    return hashlib.sha256(np.ascontiguousarray(values)).hexdigest()
-
-
-def mask_digest(bank):
-    """Short content digest of both masks; keys the table cache."""
-    h = hashlib.sha256()
-    for mask in (bank.primal, bank.dual):
-        h.update(struct.pack("<i", mask.n_first))
-        h.update(mask.array().tobytes())
-    return h.hexdigest()[:12]
 
 
 def _refinement_matrix(mask):
@@ -192,13 +182,15 @@ def _exact_seed(matrix, what):
     return np.array([float(row[n]) for row in rows])
 
 
+@functools.cache
 def _integer_vector(bank, which):
     """Cascade seed: phi at the integer support points, summing to 1.
 
     LAPACK ``eig`` only certifies that eigenvalue 1 is simple with a real
     eigenvector of nonzero sum.  The values themselves come from the exact
     rational solve of :func:`_exact_seed`, so every table is independent of
-    the BLAS/LAPACK build and CPU kernel.
+    the BLAS/LAPACK build and CPU kernel.  Solved once per bank and mask;
+    the result is read-only.
     """
     mask = bank.mask(which)
     n = mask.support_length + 1
@@ -207,15 +199,17 @@ def _integer_vector(bank, which):
         # construction, resolved by the left-closed convention
         vec = np.zeros(n)
         vec[0] = 1.0
-        return vec
-    what = f"{bank.bank_id}/{which}"
-    m = _refinement_matrix(mask)
-    vec = _eigenvector_at(m, 1.0, what)
-    if abs(vec.sum()) < 1e-8 * np.abs(vec).max():
-        raise NonSimpleEigenvalue(
-            f"{what}: eigenvector sums to ~0; "
-            "generator has no pointwise normalization")
-    return _exact_seed(m, what)
+    else:
+        what = f"{bank.bank_id}/{which}"
+        m = _refinement_matrix(mask)
+        vec = _eigenvector_at(m, 1.0, what)
+        if abs(vec.sum()) < 1e-8 * np.abs(vec).max():
+            raise NonSimpleEigenvalue(
+                f"{what}: eigenvector sums to ~0; "
+                "generator has no pointwise normalization")
+        vec = _exact_seed(m, what)
+    vec.setflags(write=False)
+    return vec
 
 
 def _subdivide(mask, start, levels):
@@ -248,7 +242,7 @@ def cascade(bank, which, depth):
     values.setflags(write=False)
     return DyadicTable(
         filter_id=bank.bank_id, which=which, depth=depth, n_first=mask.n_first,
-        values=values, checksum=_payload_checksum(values))
+        values=values)
 
 
 def refinement_residual(table, bank):
@@ -326,50 +320,53 @@ def biorthogonality_residual(bank, depth=12):
     return max(abs(v - (1.0 if m == 0 else 0.0)) for m, v in b.items())
 
 
-_ACCEPTANCE_MEMO = {}
+@functools.cache
+def _acceptance_residual(bank):
+    return biorthogonality_residual(bank, ACCEPTANCE_DEPTH)
 
 
 def is_accepted(bank):
     """Acceptance gate for projector use: biorthogonality residual <= 1e-6."""
-    key = (bank.bank_id, mask_digest(bank))
-    if key not in _ACCEPTANCE_MEMO:
-        _ACCEPTANCE_MEMO[key] = biorthogonality_residual(bank, ACCEPTANCE_DEPTH)
-    return _ACCEPTANCE_MEMO[key] <= ACCEPTANCE_RESIDUAL
+    return _acceptance_residual(bank) <= ACCEPTANCE_RESIDUAL
 
 
 def ensure_accepted(bank):
     if not is_accepted(bank):
         raise BankRejected(
             f"bank {bank.bank_id} rejected: biorthogonality residual "
-            f"{_ACCEPTANCE_MEMO[(bank.bank_id, mask_digest(bank))]:.3e} > "
-            f"{ACCEPTANCE_RESIDUAL}")
+            f"{_acceptance_residual(bank):.3e} > {ACCEPTANCE_RESIDUAL}")
 
 
 # ---------------------------------------------------------------------------
 # registry files
 
 
-def _parse_float_list(text):
-    return tuple(float(tok) for tok in text.split())
+def read_key_values(path, normalize=str):
+    """({key: value}, {key: line number}) of a file of 'key: value' lines
+    with '#' comments; ParseError on any other line or a repeated key.
 
-
-def parse_bank_file(path):
-    """Parse one structured-text bank file into a FilterBank."""
-    path = Path(path)
+    ``normalize`` maps each stripped key before the repeat check.
+    """
     fields = {}
     lines = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
             raise ParseError(path, lineno, f"expected 'key: value', got {line!r}")
         key, _, value = line.partition(":")
-        key = key.strip()
+        key = normalize(key.strip())
         if key in fields:
             raise ParseError(path, lineno, f"duplicate key {key!r}")
         fields[key] = value.strip()
         lines[key] = lineno
+    return fields, lines
+
+
+def parse_bank_file(path):
+    """Parse one structured-text bank file into a FilterBank."""
+    fields, lines = read_key_values(path)
     required = ("id", "smoothness", "primal-support", "dual-support",
                 "primal", "dual")
     for key in required:
@@ -390,7 +387,7 @@ def parse_bank_file(path):
 
     def coeffs(key):
         try:
-            return _parse_float_list(fields[key])
+            return tuple(float(tok) for tok in fields[key].split())
         except ValueError as exc:
             raise ParseError(path, lines[key], str(exc)) from None
 
@@ -447,8 +444,8 @@ def get_bank(bank_id, directory=None):
 class TableCache:
     """Memoized dyadic tables, built on first use and kept in memory.
 
-    Tables are keyed by mask, so a dual mask equal to the primal one
-    shares its table.
+    Tables are keyed by the frozen bank, so a dual mask equal to the
+    primal one shares its table.
     """
 
     def __init__(self):
@@ -456,7 +453,7 @@ class TableCache:
 
     def get(self, bank, which, depth):
         which = "primal" if bank.mask(which) == bank.primal else which
-        key = (bank.bank_id, mask_digest(bank), which, depth)
+        key = (bank, which, depth)
         table = self._memo.get(key)
         if table is None:
             table = self._memo[key] = cascade(bank, which, depth)

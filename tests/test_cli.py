@@ -1,4 +1,5 @@
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -326,3 +327,166 @@ def test_cz_non_finite_alpha(alpha, tmp_path, capsys):
 def test_report_missing_dir(tmp_path, capsys):
     rc = run(["report", "--out", str(tmp_path / "nope")])
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# one declaration per setting: flags, config defaults and the shared checks
+
+
+def _never_drawn(*args, **kwargs):
+    raise AssertionError("an input was drawn")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["identities", "--max-level", "-1"], "max_level must be nonnegative"),
+    (["identities", "--dim", "4"], "dim must be 1, 2 or 3"),
+    (["lp-sweep", "--dim", "0"], "dim must be 1, 2 or 3"),
+    (["lp-sweep", "--dim", "4", "--depth", "8"], "dim must be 1, 2 or 3"),
+    (["lp-sweep", "--banks", "haar,haar,haar", "--dim", "2"],
+     "3 banks for dimension 2"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_experiment_settings_checked_before_anything_is_made(
+        argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.lpharness, "standard_corpus", _never_drawn)
+    monkeypatch.setattr(cli, "_identity_battery", _never_drawn)
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, frame", [
+    # a complex frame of 2^14 cells is over the budget, a real one is not
+    (["identities", "--depth", "14"], "16384 complex128"),
+    (["identities", "--dim", "2", "--depth", "14"], "16384 x 16384 complex128"),
+    (["lp-sweep", "--depth", "15"], "32768 float64"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_input_frame_checked_before_it_is_drawn(argv, frame, tmp_path, capsys,
+                                                monkeypatch):
+    # 1 MiB of physical memory: a frame may take 174,762 bytes
+    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    monkeypatch.setattr(cli.lpharness, "standard_corpus", _never_drawn)
+    monkeypatch.setattr(cli, "_identity_battery", _never_drawn)
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"a {frame} frame is over" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["depth: 9\ndepth: 8\n",
+                                  "max-level: 3\nmax_level: 2\n"],
+                         ids=["same-spelling", "dash-and-underscore"])
+def test_repeated_config_key_exits_2(text, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run(["lp-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{cfg}:2: duplicate key" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["command", "func", "config"])
+def test_config_key_that_names_no_setting(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}: x\n")
+    out = tmp_path / "o"
+    assert run(["cz", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cz reads no config key {key}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["identities", "lp-sweep", "cz"])
+def test_config_value_that_does_not_convert_exits_2(command, tmp_path,
+                                                    capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("depth: x\n")
+    out = tmp_path / "o"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: argument --depth")
+    assert "invalid int value: 'x'" in err
+    assert not out.exists()
+
+
+DEFAULTS = {
+    "filters": {"registry": None, "tolerance_scale": 1.0, "depth": 12},
+    "table": {"registry": None, "depth": 12, "bank": None, "which": "primal"},
+    "identities": {"out": Path("out"), "registry": None, "seed": 0, "jobs": 1,
+                   "tolerance_scale": 1.0, "banks": ["haar"], "dim": 1,
+                   "depth": 10, "max_level": 4},
+    "cz": {"out": Path("out"), "jobs": 1, "depth": 10,
+           "seeds": [0, 1, 2, 3, 4], "alphas": [0.1, 0.3, 1.0, 3.0, 10.0]},
+    "report": {"out": Path("out")},
+}
+DEFAULTS["lp-sweep"] = {**DEFAULTS["identities"], "p_list": [1.5, 2.0, 4.0],
+                        "trials": 10, "plot": True}
+
+# every flag of every command, each with a value other than its default
+FLAGS = {
+    "filters": ["--registry", "r", "--tolerance-scale", "2.5",
+                "--depth", "11"],
+    "table": ["--registry", "r", "--depth", "7", "--bank", "db2",
+              "--which", "dual"],
+    "identities": ["--out", "o", "--registry", "r", "--seed", "5",
+                   "--jobs", "2", "--tolerance-scale", "3",
+                   "--banks", "db4,haar", "--dim", "2", "--depth", "9",
+                   "--max-level", "2"],
+    "cz": ["--out", "o", "--jobs", "2", "--depth", "8", "--seeds", "4,5",
+           "--alphas", "0.5,2"],
+    "report": ["--out", "o"],
+}
+FLAGS["lp-sweep"] = FLAGS["identities"] + ["--p-list", "1.5,3",
+                                           "--trials", "3", "--no-plot"]
+
+
+def _settings(argv, monkeypatch):
+    """The settings one run's command reads, without running it."""
+    seen = []
+    name = "cmd_" + argv[0].replace("-", "_")
+    monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+    assert run(argv) == 0
+    return {k: v for k, v in seen[0].items()
+            if k not in ("command", "func", "config")}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_command_flags_and_defaults(command, monkeypatch):
+    assert _settings([command], monkeypatch) == DEFAULTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_config_setting_resolves_as_its_flag(command, tmp_path, monkeypatch):
+    flags = FLAGS[command]
+    by_flag = _settings([command, *flags], monkeypatch)
+    assert all(by_flag[k] != v for k, v in DEFAULTS[command].items())
+    lines, tokens = [], iter(flags)
+    for flag in tokens:
+        value = "no" if flag == "--no-plot" else next(tokens)
+        key = "plot" if flag == "--no-plot" else flag[2:]
+        lines += [f"# {flag}", f"{key}: {value}"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert _settings([command, "--config", str(cfg)], monkeypatch) == by_flag
+
+
+def _readme_commands():
+    """The dyadwave command lines of README's "Command line" block, with
+    their backslash continuations joined and their comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line, comments=True)
+            for line in block.splitlines() if line.startswith("dyadwave ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert [argv[1] for argv in commands] == [
+        "filters", "table", "identities", "lp-sweep", "cz", "report"]
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])

@@ -189,6 +189,45 @@ def test_subdivision_matches_pointwise_reference(registry):
                     bank.bank_id, which, depth)
 
 
+def test_seed_solved_once_per_mask(db4, monkeypatch):
+    # the integer-point seed depends on the mask alone, not on the depth
+    solves = []
+
+    def counted(matrix, what):
+        solves.append(what)
+        return exact(matrix, what)
+
+    exact = refinable._exact_seed
+    monkeypatch.setattr(refinable, "_exact_seed", counted)
+    refinable._integer_vector.cache_clear()
+    try:
+        tables = [refinable.cascade(db4, "primal", depth)
+                  for depth in range(11, 20)]
+    finally:
+        refinable._integer_vector.cache_clear()
+    assert solves == ["db4/primal"]
+    seed = refinable._integer_vector(db4, "primal")
+    assert not seed.flags.writeable
+    for table in tables:
+        stride = 2 ** table.depth
+        assert np.array_equal(table.values[::stride], seed)
+
+
+def test_cascade_computes_no_sha256(db4, monkeypatch):
+    # the checksum is computed when it is read, never by a table build
+    table = refinable.cascade(db4, "primal", 12)
+    want = table.checksum
+
+    def refused(*args):
+        raise AssertionError("sha256 computed")
+
+    monkeypatch.setattr(refinable.hashlib, "sha256", refused)
+    again = refinable.cascade(db4, "primal", 12)
+    assert refinable.TableCache().get(db4, "dual", 11).depth == 11
+    monkeypatch.undo()
+    assert again.checksum == want
+
+
 def test_cascade_peak_memory(db4):
     # the last level holds the coarser table, the finer one and one product
     # a quarter of the table's size: 1.75 table bytes
