@@ -219,19 +219,18 @@ def _identity_battery(banks, dim, depth, max_level, seed):
         ab = mrand.apply_axis(e1, mrand.apply_axis(e0, f, 0), 1)
         ba = mrand.apply_axis(e0, mrand.apply_axis(e1, f, 1), 0)
         add("axis_commutation", gridfn.lp_norm(ab - ba, 2) / nf, 1e-10)
-    # synthesized member: Parseval and reconstruction, from the same blocks
-    n = 2 ** min(3, max_level)
-    member = mrand.synthesize_nd(gaussian((n,) * dim), (0,) * dim,
-                                 (min(3, max_level),) * dim, assignment, depth)
-    nm2 = gridfn.lp_norm(member, 2) ** 2
-    total, rec = 0.0, None
-    for kvec in gridfn.box_range((min(3, max_level),) * dim):
-        blk = mrand.mixed_detail(member, kvec, assignment)
-        total += gridfn.lp_norm(blk, 2) ** 2
-        rec = blk if rec is None else rec + blk
-    add("parseval_synth", abs(nm2 - total) / nm2, tol)
-    add("reconstruction_synth",
-        gridfn.lp_norm(rec - member, 2) / gridfn.lp_norm(member, 2), tol)
+    # synthesized member: Parseval and reconstruction from its detail
+    # blocks, all from one tensor pass, as the square function takes them
+    top = min(3, max_level)
+    member = mrand.synthesize_nd(gaussian((2 ** top,) * dim), (0,) * dim,
+                                 (top,) * dim, assignment, depth)
+    nm = gridfn.lp_norm(member, 2)
+    weights = [mrand.detail_weights(k) for k in range(top + 1)]
+    blocks = list(mrand.tensor_sums(member, [weights] * dim, assignment))
+    total = sum(gridfn.lp_norm(blk, 2) ** 2 for blk in blocks)
+    add("parseval_synth", abs(nm ** 2 - total) / nm ** 2, tol)
+    rec = gridfn.combine((1, blk) for blk in blocks)
+    add("reconstruction_synth", gridfn.lp_norm(rec - member, 2) / nm, tol)
     return rows
 
 
@@ -387,7 +386,8 @@ def build_parser():
         "--registry": {"help": "filter registry directory"},
         "--seed": {"type": int, "default": 0, "help": "base RNG seed"},
         "--jobs": {"type": int, "default": 1,
-                   "help": "parallel corpus entries"},
+                   "help": "parallel corpus entries (lp-sweep); identities "
+                           "and cz accept it and ignore it"},
         "--tolerance-scale": {"type": float, "default": 1.0,
                               "help": "multiply every tolerance by this factor"},
         "--banks": {"type": _str_list, "default": "haar",

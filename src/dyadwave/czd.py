@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AlphaTooSmall, DegenerateF, DepthMismatch
-from .gridfn import GridFunction, l1_norm, lp_norm
+from .errors import AlphaTooSmall, DegenerateF
+from .gridfn import GridFunction, combine, l1_norm, lp_norm
 
 MAX_ROOT_EXPONENT = 40
 
@@ -251,18 +251,10 @@ def verify_cz(dec, f):
     # allows last-bit rounding of the interval sums
     eps = 1e-12
 
-    # reconstruction f = g + bad, cellwise, in one buffer on the union of
-    # the boxes
-    parts = (dec.good, dec.bad)
-    if any(p.depth != depth for p in parts):
-        raise DepthMismatch("decomposition and f have different depths")
-    r_lo = min(p.origin[0] for p in parts + (f,))
-    r_hi = max(p.origin[0] + p.shape[0] for p in parts + (f,))
-    recon = np.zeros(r_hi - r_lo, dtype=f.data.dtype)
-    for p in parts:
-        recon[p.origin[0] - r_lo:p.origin[0] - r_lo + p.shape[0]] += p.data
-    recon[origin - r_lo:origin - r_lo + data.size] -= f.data
-    worst_recon = float(np.abs(recon).max())
+    # reconstruction f = g + bad, cellwise on the union of the boxes
+    # (DepthMismatch if the decomposition has another depth)
+    recon = combine([(1, dec.good), (1, dec.bad), (-1, f)])
+    worst_recon = float(np.abs(recon.data).max())
     del recon
     checks.append(Check("reconstruction", worst_recon <= 1e-12,
                         worst_recon, 1e-12))

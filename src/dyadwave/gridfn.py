@@ -101,20 +101,20 @@ class GridFunction:
             yield self.tile(a, min(n, a + step))
 
     def __add__(self, other):
-        return combine(self, other, np.add)
+        return combine([(1, self), (1, other)])
 
     def __sub__(self, other):
-        return combine(self, other, np.subtract)
+        return combine([(1, self), (-1, other)])
 
     def __mul__(self, scalar):
         if not np.isscalar(scalar):
             return NotImplemented
-        return GridFunction(self.data * scalar, self.depth, self.origin)
+        return combine([(scalar, self)])
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self * (-1.0)
+        return combine([(-1, self)])
 
 
 class TiledFunction(GridFunction):
@@ -246,34 +246,45 @@ def tile_part(f, box, a, b):
             f.tile(lo - off, hi - off))
 
 
-def combine(f, g, op):
-    """op(f, g) cellwise on the union box, both zero-extended.
+def combine(terms):
+    """sum w * f over (weight, grid function) terms, cellwise on the union
+    box, each f zero-extended.
 
-    The result is made tile by tile on demand (:class:`TiledFunction`).
-    op is a binary ufunc with op(x, 0) == x (add, subtract): per tile f's
-    cells are copied onto zeros and op runs in place on g's slice.
+    The result is made tile by tile on demand (:class:`TiledFunction`):
+    zeros, then in term order ``+=`` the cells of a weight 1, ``-=`` those
+    of a weight -1 (no temporary) and ``+= cells * w`` otherwise, so sums
+    of ``+`` and ``-`` keep the bits of the pairwise ufuncs, and a scalar
+    product those of ``data * w`` (numpy's complex loops round ``w * z``
+    and ``z * w`` differently).  Like any combine result, a lazy scalar
+    product is not checked for NaN or Inf.
     """
-    if not isinstance(g, GridFunction):
+    terms = list(terms)
+    if not all(isinstance(g, GridFunction) for _, g in terms):
         return NotImplemented
-    if f.depth != g.depth:
-        raise DepthMismatch(f"depths {f.depth} != {g.depth}")
-    if f.dim != g.dim:
-        raise ValueError(f"dimensions {f.dim} != {g.dim}")
-    box = union_box(f.box(), g.box())
+    depths = {g.depth for _, g in terms}
+    if len(depths) > 1:
+        raise DepthMismatch(f"depths {sorted(depths)} differ")
+    box = union_box(*(g.box() for _, g in terms))  # refuses mixed dims
     shape = tuple(hi - lo for lo, hi in box)
-    dtype = np.result_type(f.dtype, g.dtype)
+    dtype = np.result_type(*(g.dtype for _, g in terms),
+                           *(w for w, _ in terms))
 
     def make(a, b):
         out = np.zeros((b - a,) + shape[1:], dtype)
-        part = tile_part(f, box, a, b)
-        if part:
-            out[part[0]] = part[1]
-        part = tile_part(g, box, a, b)
-        if part:
-            op(out[part[0]], part[1], out=out[part[0]])
+        for w, g in terms:
+            part = tile_part(g, box, a, b)
+            if part is None:
+                continue
+            index, cells = part
+            if w == 1:
+                out[index] += cells
+            elif w == -1:
+                out[index] -= cells
+            else:
+                out[index] += cells * w
         return out
 
-    return TiledFunction(make, shape, dtype, f.depth,
+    return TiledFunction(make, shape, dtype, depths.pop(),
                          tuple(lo for lo, _ in box))
 
 

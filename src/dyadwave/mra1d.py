@@ -1,4 +1,5 @@
-"""One-dimensional multiresolution projection and detail operators.
+"""One-dimensional multiresolution row kernels: analysis, synthesis and
+weighted level sums.
 
 The level-k projector maps a grid function f to
 
@@ -10,8 +11,9 @@ integral (not the L2-normalized 2^(k/2) convention).
 
 Everything is quadrature on the function's own grid: integrals use the cell
 rule with generator values at cell midpoints, exact for piecewise-constant
-generators.  The row kernels at the bottom operate on stacks of 1-D slices
-so the d-dimensional module can reuse them wholesale.
+generators.  The kernels operate on stacks of 1-D slices; the projectors
+and details themselves, in one dimension too, are :mod:`mrand`'s tensor
+operators (``project_nd``, ``mixed_detail`` at d = 1).
 
 A weighted sum of projections moves between levels in coefficient space
 (the fast wavelet transform, :func:`level_sum`).
@@ -26,21 +28,13 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import refinable
 from .errors import LevelOverflow, ResolutionExhausted
-from .gridfn import GridFunction, check_frame
+from .gridfn import check_frame
 
 LEVEL_HEADROOM = 4
 # bound on one temporary of the synthesis loop
 SCATTER_TILE_BYTES = 1 << 18
 # elements in one of the buffers through which einsum casts its operands
 EINSUM_BUFFER = 8192
-
-
-def _check_level(level, depth):
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    if level > depth - LEVEL_HEADROOM:
-        raise LevelOverflow(
-            f"level {level} above cap {depth - LEVEL_HEADROOM} at depth {depth}")
 
 
 def _table(bank, which, gap):
@@ -183,7 +177,11 @@ def top_level(weight_vectors, depth):
     """The highest weighted level of the vectors, checked against depth."""
     top = max((k for w in weight_vectors for k, x in enumerate(w) if x),
               default=-1)
-    _check_level(top, depth)
+    if top < 0:
+        raise ValueError(f"level must be nonnegative, got {top}")
+    if top > depth - LEVEL_HEADROOM:
+        raise LevelOverflow(
+            f"level {top} above cap {depth - LEVEL_HEADROOM} at depth {depth}")
     return top
 
 
@@ -220,22 +218,3 @@ def level_sum(coeffs, first, top, n, origin, depth, weights, bank):
             lo = first - acc[1]
             acc[0][:, lo:lo + coeffs.shape[1]] += w * coeffs
     return acc
-
-
-def project(f, level, bank):
-    """Projection onto the span of the level-k shifts (analysis + synthesis)."""
-    if f.dim != 1:
-        raise ValueError(f"expected a 1-D grid function, got dimension {f.dim}")
-    _check_level(level, f.depth)
-    refinable.ensure_accepted(bank)
-    coeffs, nu_min = analyze_rows(f.data[None, :], f.origin[0], f.depth,
-                                  level, bank)
-    rows, origin = synthesize_rows(coeffs, nu_min, level, bank, f.depth)
-    return GridFunction(rows[0], f.depth, (origin,))
-
-
-def detail(f, level, bank):
-    """Difference of consecutive projections; level 0 is the projection itself."""
-    if level == 0:
-        return project(f, 0, bank)
-    return project(f, level, bank) - project(f, level - 1, bank)

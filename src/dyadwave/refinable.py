@@ -111,10 +111,6 @@ class DyadicTable:
         """sha256 of the values, computed on each read."""
         return hashlib.sha256(np.ascontiguousarray(self.values)).hexdigest()
 
-    @property
-    def step(self):
-        return 2.0 ** (-self.depth)
-
     def midpoint_samples(self, gap):
         """Values at n_first + (m + 1/2) * 2**-gap over the support.
 

@@ -72,23 +72,23 @@ def test_criterion_02_projector_algebra(registry):
                 nf = gf.lp_norm(f, 2)
                 gid, g = corpus[(i + 1) % len(corpus)]
                 ng = gf.lp_norm(g, 2)
-                proj = {k: mra1d.project(f, k, bank) for k in levels}
-                det_f = {k: mra1d.detail(f, k, bank) for k in levels}
-                det_g = {k: mra1d.detail(g, k, bank) for k in levels}
+                proj = {k: mrand.project_nd(f, k, bank) for k in levels}
+                det_f = {k: mrand.mixed_detail(f, k, bank) for k in levels}
+                det_g = {k: mrand.mixed_detail(g, k, bank) for k in levels}
                 for k in levels:
-                    r = gf.lp_norm(mra1d.project(proj[k], k, bank) - proj[k],
-                                   2) / nf
+                    again = mrand.project_nd(proj[k], k, bank)
+                    r = gf.lp_norm(again - proj[k], 2) / nf
                     assert r <= tol, (bank_name, fid, "idempotence", k)
                     worst = max(worst, r / tol)
                     lhs = gf.inner_product(proj[k], g)
-                    rhs = gf.inner_product(f, mra1d.project(g, k, bank))
+                    rhs = gf.inner_product(f, mrand.project_nd(g, k, bank))
                     r = abs(lhs - rhs) / (nf * ng)
                     assert r <= tol, (bank_name, fid, "self_adjoint", k)
                     worst = max(worst, r / tol)
                 for k in levels:
                     for kp in range(k):
-                        r = gf.lp_norm(
-                            mra1d.project(proj[k], kp, bank) - proj[kp], 2) / nf
+                        low = mrand.project_nd(proj[k], kp, bank)
+                        r = gf.lp_norm(low - proj[kp], 2) / nf
                         assert r <= tol, (bank_name, fid, "nesting", kp, k)
                         worst = max(worst, r / tol)
                         r = abs(gf.inner_product(det_f[k], det_g[kp])) / (nf * ng)

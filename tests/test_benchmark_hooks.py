@@ -1,28 +1,30 @@
-"""The names the benchmark's tracer hooks into dyadwave.
+"""The names the benchmark's tracer and checks hook into dyadwave.
 
 ``perfbench/spans.py`` looks up every ``LAYERS`` name when it installs and
 reads ``derivative_values`` off every cascade result, so deleting one of
 them breaks a traced benchmark run; a layer the code no longer calls reads
-0 instead.  The file is read here, never edited.
+0 instead.  ``perfbench/worker.py``'s correctness checks call operators by
+name too.  The files are read here, never edited.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 from dyadwave import cli, czd, lpharness, mrand, refinable  # cli imports all
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  SPANS_PATH)
+def _load(name, as_name):
+    spec = importlib.util.spec_from_file_location(as_name,
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-spans = _load_spans()
+spans = _load("spans", "perfbench_spans")
 
 
 def test_tracer_installs_every_layer():
@@ -92,3 +94,18 @@ def test_identity_battery_reaches_every_traced_layer(db4, haar):
     calls = _traced_calls(
         lambda: cli._identity_battery([db4, haar], 2, 6, 1, 601))
     assert [name for name in BATTERY_LAYERS if not calls.get(name)] == []
+
+
+def test_ident2d_haar_axis_check_holds(monkeypatch, tmp_path):
+    # the ident2d correctness check calls project_nd, apply_axis and
+    # LevelProjection; run here at depth 6 so that an operator-API change
+    # that breaks it fails this suite, not only a benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # worker imports its siblings
+    worker = _load("worker", "perfbench_worker")
+    ident2d = worker.WORKLOADS["ident2d"]
+    flags = list(ident2d.flags)
+    flags[flags.index("--depth") + 1] = "6"
+    checker = worker.Checker(
+        dataclasses.replace(ident2d, flags=tuple(flags)), 601, tmp_path)
+    assert checker.workload.depth == 6 and checker.workload.max_level == 2
+    assert checker.haar_axis() == []

@@ -490,3 +490,10 @@ def test_readme_commands_parse():
         "filters", "table", "identities", "lp-sweep", "cz", "report"]
     for argv in commands:
         cli.build_parser().parse_args(argv[1:])
+
+
+@pytest.mark.parametrize("command", ["identities", "cz"])
+def test_jobs_help_says_the_flag_is_ignored(command):
+    # the flag stays so that one flag set drives every command
+    text = cli.build_parser().commands[command].format_help()
+    assert "identities and cz accept it and ignore it" in " ".join(text.split())

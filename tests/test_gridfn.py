@@ -227,10 +227,24 @@ def test_combine_matches_embedded_ufunc(rng, f_box, g_box):
         return random_gridfn(rng, shape, 6, tuple(lo for lo, _ in box))
 
     f, g = make(f_box), make(g_box)
+    # a real h overlapping g and reaching past it: mixed dtypes, three boxes
+    h_box = tuple((lo + 1, hi + 2) for lo, hi in g_box)
+    h = gf.GridFunction(make(h_box).data.real, 6, tuple(lo for lo, _ in h_box))
     box = gf.union_box(f_box, g_box)
     for got, op in ((f + g, np.add), (f - g, np.subtract)):
         want = op(gf.embed(f, box), gf.embed(g, box))
         assert got.origin == tuple(lo for lo, _ in box)
+        assert got.data.tobytes() == want.tobytes()
+    # n terms against the pairwise ufunc chain on embedded arrays
+    box = gf.union_box(f_box, g_box, h_box)
+    ef, eg, eh = (gf.embed(u, box) for u in (f, g, h))
+    for terms, want in (
+            ([(1, f), (-1, g), (2.5, h), (1, g)], ef - eg + eh * 2.5 + eg),
+            ([(2.5, h), (1, f), (-1, g)], eh * 2.5 + ef - eg),
+            ([(-1, h), (1, g), (2.5, h), (-1, f)], -eh + eg + eh * 2.5 - ef)):
+        got = gf.combine(terms)
+        assert got.origin == tuple(lo for lo, _ in box)
+        assert got.dtype == want.dtype
         assert got.data.tobytes() == want.tobytes()
     assert not f.data.flags.writeable and not g.data.flags.writeable
 
@@ -245,6 +259,22 @@ def test_combine_mixed_dtypes(rng):
         assert got.data.dtype == np.complex128
         assert np.array_equal(got.data, gf.embed(f, box) - gf.embed(g, box))
     assert (x + x).data.dtype == np.float64
+
+
+@pytest.mark.parametrize("real, scalar", [
+    (True, 2.5), (False, 2.5), (False, 0.75 - 1.5j), (True, 0.75 - 1.5j)],
+    ids=["real", "complex", "complex-scalar", "real-by-complex"])
+def test_scalar_product_and_negation_are_lazy(rng, monkeypatch, real, scalar):
+    # made tile by tile (3 rows a tile), with the bits of the eager product
+    monkeypatch.setattr(gf, "TILE_CELLS", 100)
+    f = random_gridfn(rng, (37, 29), 6, (-4, 5))
+    if real:
+        f = gf.GridFunction(f.data.real, 6, f.origin)
+    for got, want in ((scalar * f, f.data * scalar),
+                      (f * scalar, f.data * scalar), (-f, f.data * -1.0)):
+        assert isinstance(got, gf.TiledFunction) and got._frame is None
+        assert (got.origin, got.dtype) == (f.origin, want.dtype)
+        assert got.data.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

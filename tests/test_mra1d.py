@@ -63,15 +63,9 @@ def test_analyze_window_is_support_exact(db4, rng):
 def test_level_cap(haar, rng):
     f = noise(rng, 8)
     with pytest.raises(LevelOverflow):
-        mra1d.project(f, 5, haar)
+        mrand.project_nd(f, 5, haar)
     with pytest.raises(ValueError):
-        mra1d.project(f, -1, haar)
-
-
-def test_analyze_needs_1d(haar, rng):
-    f = gf.GridFunction(rng.standard_normal((8, 8)) + 0j, 6, (0, 0))
-    with pytest.raises(ValueError, match="1-D"):
-        mra1d.project(f, 0, haar)
+        mrand.project_nd(f, -1, haar)
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +99,12 @@ def test_synthesize_headroom(haar):
 
 
 # ---------------------------------------------------------------------------
-# project / detail
+# project / detail: the tensor operators at d = 1
 
 
 def test_project_haar_is_cell_mean(haar, rng):
     f = noise(rng, 10, size=3 * 2 ** 10)
-    e0 = mra1d.project(f, 0, haar)
+    e0 = mrand.project_nd(f, 0, haar)
     # independent averaging oracle
     means = f.data.reshape(3, 2 ** 10).mean(axis=1)
     want = np.repeat(means, 2 ** 10)
@@ -124,19 +118,19 @@ def test_project_reproduces_basis_function(db4):
     phi = gf.GridFunction(table.midpoint_samples(12).astype(complex), 12, (0,))
     shifted = gf.GridFunction(phi.data, 12, (3 * 2 ** 10,))
     for f in (phi, shifted):
-        e = mra1d.project(f, 2, db4)
+        e = mrand.project_nd(f, 2, db4)
         assert gf.lp_norm(e - f, 2) <= 1e-6 * gf.lp_norm(f, 2)
 
 
 def test_project_kernel_element(haar):
     w = gf.sample(lambda x: np.where(x < 0.5, 1.0, -1.0), 10, ((0.0, 1.0),))
-    e0 = mra1d.project(w, 0, haar)
+    e0 = mrand.project_nd(w, 0, haar)
     assert np.abs(e0.data).max() <= 1e-12
 
 
 def test_project_support_growth(db4, rng):
     f = noise(rng, 10, size=2 ** 10)
-    e0 = mra1d.project(f, 0, db4)
+    e0 = mrand.project_nd(f, 0, db4)
     lo, hi = e0.box()[0]
     # fattening by at most the two supports at scale 1, in grid units
     assert lo >= (0 - 7) * 2 ** 10 and hi <= (1 + 7) * 2 ** 10
@@ -144,23 +138,24 @@ def test_project_support_growth(db4, rng):
 
 def test_detail_level0_is_projection(haar, rng):
     f = noise(rng, 9)
-    d0 = mra1d.detail(f, 0, haar)
-    e0 = mra1d.project(f, 0, haar)
+    d0 = mrand.mixed_detail(f, 0, haar)
+    e0 = mrand.project_nd(f, 0, haar)
     assert np.array_equal(d0.data, e0.data) and d0.origin == e0.origin
 
 
 def test_detail_vanishes_on_coarse_space(haar):
     chi = gf.indicator(10, ((0.0, 1.0),))
     for level in (1, 2, 3):
-        assert np.abs(mra1d.detail(chi, level, haar).data).max() <= 1e-12
+        d = mrand.mixed_detail(chi, level, haar)
+        assert np.abs(d.data).max() <= 1e-12
 
 
 def test_detail_telescoping(db3, rng):
     f = noise(rng, 12)
-    acc = mra1d.detail(f, 0, db3)
+    acc = mrand.mixed_detail(f, 0, db3)
     for level in range(1, 6):
-        acc = acc + mra1d.detail(f, level, db3)
-    ek = mra1d.project(f, 5, db3)
+        acc = acc + mrand.mixed_detail(f, level, db3)
+    ek = mrand.project_nd(f, 5, db3)
     assert gf.lp_norm(acc - ek, 2) <= 1e-10 * gf.lp_norm(f, 2)
 
 
@@ -178,19 +173,19 @@ def test_projector_algebra(registry, rng, bank_name, depth, tol):
     g = noise(rng, depth, size=2 ** depth)
     nf, ng = gf.lp_norm(f, 2), gf.lp_norm(g, 2)
     levels = (0, 2, 5)
-    proj = {k: mra1d.project(f, k, bank) for k in levels}
+    proj = {k: mrand.project_nd(f, k, bank) for k in levels}
     for k in levels:
-        again = mra1d.project(proj[k], k, bank)
+        again = mrand.project_nd(proj[k], k, bank)
         assert gf.lp_norm(again - proj[k], 2) <= tol * nf
     for k in levels:
         for kp in levels:
             if kp < k:
-                down = mra1d.project(proj[k], kp, bank)
+                down = mrand.project_nd(proj[k], kp, bank)
                 assert gf.lp_norm(down - proj[kp], 2) <= tol * nf
-                up = mra1d.project(proj[kp], k, bank)
+                up = mrand.project_nd(proj[kp], k, bank)
                 assert gf.lp_norm(up - proj[kp], 2) <= tol * nf
-    det_f = {k: mra1d.detail(f, k, bank) for k in levels}
-    det_g = {k: mra1d.detail(g, k, bank) for k in levels}
+    det_f = {k: mrand.mixed_detail(f, k, bank) for k in levels}
+    det_g = {k: mrand.mixed_detail(g, k, bank) for k in levels}
     for k in levels:
         for kp in levels:
             if kp < k:
@@ -198,7 +193,7 @@ def test_projector_algebra(registry, rng, bank_name, depth, tol):
                 assert abs(ip) <= tol * nf * ng
     for k in levels:
         lhs = gf.inner_product(proj[k], g)
-        rhs = gf.inner_product(f, mra1d.project(g, k, bank))
+        rhs = gf.inner_product(f, mrand.project_nd(g, k, bank))
         assert abs(lhs - rhs) <= tol * nf * ng
 
 
@@ -212,7 +207,7 @@ def test_parseval_for_synthesized(registry, rng, bank_name, depth, level):
               + 1j * rng.standard_normal(2 ** level))
     f = mrand.synthesize_nd(coeffs, (0,), (level,), bank, depth)
     n2 = gf.lp_norm(f, 2) ** 2
-    total = sum(gf.lp_norm(mra1d.detail(f, k, bank), 2) ** 2
+    total = sum(gf.lp_norm(mrand.mixed_detail(f, k, bank), 2) ** 2
                 for k in range(level + 1))
     assert abs(n2 - total) <= 1e-8 * n2
 
@@ -220,7 +215,7 @@ def test_parseval_for_synthesized(registry, rng, bank_name, depth, level):
 def test_convergence_c1_bump(db4):
     f = gf.sample(lambda x: np.cos(np.pi * (x - 0.5)) ** 2, 14, ((0.0, 1.0),))
     n2 = gf.lp_norm(f, 2)
-    errs = [gf.lp_norm(f - mra1d.project(f, k, db4), 2) / n2
+    errs = [gf.lp_norm(f - mrand.project_nd(f, k, db4), 2) / n2
             for k in range(7)]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] <= 1e-3
@@ -238,7 +233,7 @@ def test_uniform_boundedness(db4, rng):
         sups = []
         for k in range(top + 1):
             sups.append(max(
-                gf.lp_norm(mra1d.project(f, k, db4), p) / gf.lp_norm(f, p)
+                gf.lp_norm(mrand.project_nd(f, k, db4), p) / gf.lp_norm(f, p)
                 for f in corpus))
         assert max(sups) <= 1.25
         assert (max(sups) - min(sups)) / min(sups) <= 0.10

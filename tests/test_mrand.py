@@ -1,8 +1,11 @@
 import gc
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dyadwave import cli
 from dyadwave import gridfn as gf
 from dyadwave import lpharness as lp
 from dyadwave import mra1d, mrand, refinable
@@ -26,7 +29,7 @@ def test_apply_axis_d1_matches_base(haar, rng):
     f = noise(rng, (2 ** 9,), 9)
     base = mrand.LevelProjection(haar, 2)
     lifted = mrand.apply_axis(base, f, 0)
-    direct = mra1d.project(f, 2, haar)
+    direct = mrand.project_nd(f, 2, haar)
     assert np.array_equal(lifted.data, direct.data)
     assert lifted.origin == direct.origin
 
@@ -34,8 +37,8 @@ def test_apply_axis_d1_matches_base(haar, rng):
 def test_apply_axis_generic_callable_matches_rows(db2, rng):
     # oracle: project each row on its own; all rows share one output box
     f = noise(rng, (64, 64), 6)
-    rows = [mra1d.project(gf.GridFunction(row, f.depth, (f.origin[1],)), 1, db2)
-            for row in f.data]
+    rows = [mrand.project_nd(gf.GridFunction(row, f.depth, (f.origin[1],)),
+                             1, db2) for row in f.data]
     assert len({g.box() for g in rows}) == 1
     fast = mrand.apply_axis(mrand.LevelProjection(db2, 1), f, 1)
     assert np.array_equal(np.stack([g.data for g in rows]), fast.data)
@@ -47,7 +50,7 @@ def test_apply_axis_separable(db3, rng):
     v = rng.standard_normal(2 ** 8) + 0j
     f = gf.GridFunction(np.outer(u, v), 8, (0, 0))
     uf = gf.GridFunction(u, 8, (0,))
-    pu = mra1d.project(uf, 2, db3)
+    pu = mrand.project_nd(uf, 2, db3)
     lifted = mrand.apply_axis(mrand.LevelProjection(db3, 2), f, 0)
     want = gf.GridFunction(np.outer(pu.data, v), 8, (pu.origin[0], 0))
     assert rel(lifted, want, gf.lp_norm(f, 2)) < 1e-12
@@ -104,7 +107,7 @@ def test_apply_axis_norm_bound(db4, rng):
     measured = 0.0
     for _ in range(12):
         u = noise(rng, (2 ** 8,), 8)
-        pu = mra1d.project(u, 1, db4)
+        pu = mrand.project_nd(u, 1, db4)
         measured = max(measured, gf.lp_norm(pu, 2) / gf.lp_norm(u, 2))
     f = noise(rng, (2 ** 8, 2 ** 8), 8)
     lifted = mrand.apply_axis(mrand.LevelProjection(db4, 1), f, 0)
@@ -125,8 +128,8 @@ def test_project_nd_separable_crosscheck(db2, db3, rng):
     u = rng.standard_normal(2 ** 8) + 1j * rng.standard_normal(2 ** 8)
     v = rng.standard_normal(2 ** 8) + 1j * rng.standard_normal(2 ** 8)
     f = gf.GridFunction(np.outer(u, v), 8, (0, 0))
-    pu = mra1d.project(gf.GridFunction(u, 8, (0,)), 1, db2)
-    pv = mra1d.project(gf.GridFunction(v, 8, (0,)), 3, db3)
+    pu = mrand.project_nd(gf.GridFunction(u, 8, (0,)), 1, db2)
+    pv = mrand.project_nd(gf.GridFunction(v, 8, (0,)), 3, db3)
     want = gf.GridFunction(np.outer(pu.data, pv.data), 8,
                            (pu.origin[0], pv.origin[0]))
     got = mrand.project_nd(f, (1, 3), (db2, db3))
@@ -173,10 +176,13 @@ def test_project_nd_bruteforce_double_sum(db2, rng):
 
 
 def test_mixed_detail_d1_matches_detail(db3, rng):
+    # oracle: the difference of the two projections, each synthesised alone
     f = noise(rng, (2 ** 9,), 9)
     for level in (0, 1, 3):
         a = mrand.mixed_detail(f, (level,), db3)
-        b = mra1d.detail(f, level, db3)
+        b = mrand.project_nd(f, level, db3)
+        if level:
+            b = b - mrand.project_nd(f, level - 1, db3)
         assert rel(a, b, gf.lp_norm(f, 2)) <= 1e-14
 
 
@@ -299,7 +305,7 @@ def _direct_sum(f, weights, bank):
     total = None
     for k, w in enumerate(weights):
         if w:
-            term = w * mra1d.project(f, k, bank)
+            term = w * mrand.project_nd(f, k, bank)
             total = term if total is None else total + term
     return total
 
@@ -322,7 +328,7 @@ def _weight_vectors(top, rng):
 def test_level_sum_matches_direct_projections(registry, rng, bank_name, shape,
                                               depth, origin, axis):
     # oracle: every slice along the axis, projected level by level with
-    # mra1d.project and summed on the grid
+    # project_nd (one direct quadrature per level) and summed on the grid
     bank = registry[bank_name]
     top = depth - mra1d.LEVEL_HEADROOM
     f = noise(rng, shape, depth, origin)
@@ -503,6 +509,53 @@ def test_every_analysis_before_any_synthesis(db2, rng, monkeypatch, dim,
         assert calls.count("analyze_rows") == dim, name
         first_synthesis = calls.index("synthesize_rows")
         assert calls[first_synthesis:].count("analyze_rows") == 0, name
+
+
+def test_battery_parseval_part_analyses_once_per_axis(db4, haar, monkeypatch):
+    # the synthesised member's detail blocks come from one tensor pass (the
+    # one tensor_sums call with more than one vector per axis): dim
+    # analyses in all, not dim per block
+    calls = []
+    analyze_rows, tensor_sums = mra1d.analyze_rows, mrand.tensor_sums
+
+    def traced_analysis(*args):
+        calls.append("analyze_rows")
+        return analyze_rows(*args)
+
+    def traced_sums(f, weight_lists, banks):
+        calls.append(len(weight_lists[0]))
+        return tensor_sums(f, weight_lists, banks)
+
+    monkeypatch.setattr(mra1d, "analyze_rows", traced_analysis)
+    monkeypatch.setattr(mrand, "tensor_sums", traced_sums)
+    rows = cli._identity_battery([db4, haar], 2, 7, 2, 601)
+    assert [r["name"] for r in rows][-2:] == ["parseval_synth",
+                                              "reconstruction_synth"]
+    passes = [i for i, c in enumerate(calls) if c not in ("analyze_rows", 1)]
+    assert len(passes) == 1 and calls[passes[0]] == 3
+    assert calls[passes[0]:].count("analyze_rows") == 2
+
+
+def test_alternating_mixed_detail_holds_no_term_frame(db2, rng, monkeypatch):
+    # the +-1 terms are added tile by tile: no negated term is filled, and
+    # the norm holds less than the frame of the smallest term
+    monkeypatch.setattr(gf, "TILE_CELLS", 1 << 12)
+    f = noise(rng, (128, 128), 8)
+    terms = [mrand.project_nd(f, lv, db2)
+             for lv in [(1, 1), (0, 1), (1, 0), (0, 0)]]
+    smallest = min(math.prod(t.shape) * t.dtype.itemsize for t in terms)
+    gf.lp_norm(mrand.mixed_detail(f, (1, 1), db2, form="alternating"), 2)
+    tracemalloc.start()
+    try:
+        block = mrand.mixed_detail(f, (1, 1), db2, form="alternating")
+        norm = gf.lp_norm(block, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(block, gf.TiledFunction) and block._frame is None
+    assert peak < smallest
+    factorized = gf.lp_norm(mrand.mixed_detail(f, (1, 1), db2), 2)
+    assert abs(norm - factorized) <= 1e-9 * factorized
 
 
 @pytest.mark.parametrize("shape", [(40, 36), (12, 20, 18)], ids=["2d", "3d"])

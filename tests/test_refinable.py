@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,24 @@ def test_parse_errors(tmp_path):
     path.write_text("garbage line\n" + good)
     with pytest.raises(ParseError, match="t.txt:1"):
         refinable.parse_bank_file(path)
+
+
+def test_readme_registry_example_reads_as_db2(tmp_path):
+    # a '#' after a value would be read as part of it: the example's
+    # comments must take lines of their own
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text().split("## Filter registry", 1)[1]
+    example = tmp_path / "example.txt"
+    example.write_text(text.split("```\n", 2)[1])
+    got, _ = refinable.read_key_values(example)
+    want, _ = refinable.read_key_values(
+        root / "src" / "dyadwave" / "registry" / "db2.txt")
+    assert got.keys() == want.keys()
+    for key in want:
+        if key in ("primal", "dual"):  # the example elides the tail
+            assert got[key].split()[0] == want[key].split()[0]
+        else:
+            assert got[key] == want[key]
 
 
 # ---------------------------------------------------------------------------
