@@ -123,7 +123,8 @@ class TiledFunction(GridFunction):
     ``make(a, b)`` returns the cells data[a:b] along axis 0.  Reading
     ``data`` fills the whole frame once, through :meth:`tiles`, and keeps
     it; that fill is where the frame budget (:func:`check_frame`) applies.
-    :func:`lp_norms` reads the tiles and never holds the frame.
+    :func:`lp_norms`, and :func:`mrand.tensor_sums` in 2-D and 3-D, read
+    the tiles and never hold the frame.
     """
 
     def __init__(self, make, shape, dtype, depth, origin):

@@ -51,6 +51,24 @@ def _shift_window(origin_units, size, gap, dual_support):
     return nu_min, nu_max
 
 
+def _windows(rows, start, count, stride, taps):
+    """out[:, j] = sum_t rows[:, start + j * stride + t] * taps[t], j < count,
+    contracted by ``np.einsum`` over a strided view: of the rows where all
+    the windows lie inside them, else of a zero-padded copy of only the
+    columns the windows reach."""
+    n, end = rows.shape[1], start + (count - 1) * stride + taps.size
+    if start < 0 or end > n:
+        slab = np.zeros((len(rows), end - start), rows.dtype)
+        c0, c1 = max(0, start), min(end, n)
+        if c0 < c1:
+            slab[:, c0 - start:c1 - start] = rows[:, c0:c1]
+        rows, start = slab, 0
+    s0, s1 = rows.strides
+    view = as_strided(rows[:, start:], shape=(len(rows), count, taps.size),
+                      strides=(s0, stride * s1, s1))
+    return np.einsum("ijk,k->ij", view, taps.astype(np.complex128))
+
+
 def _gather(rows, first, count, stride, taps):
     """out[:, j] = sum_t rows[:, first + j * stride + t] * taps[t], j < count.
 
@@ -60,12 +78,16 @@ def _gather(rows, first, count, stride, taps):
     loop is complex even for real rows: it adds the taps in sequence,
     numpy's float64 loop does not.  A row shorter than the window is
     contracted whole against a (count, n) matrix of the taps, zero outside
-    each window; otherwise the windows are a strided view of the rows, zero
-    padded where they overhang.  Either way each output adds its taps in
-    sequence, so both give the same bits -- for complex rows, and for real
-    rows whose window fits einsum's cast buffer (EINSUM_BUFFER elements).
-    Real rows with a longer window keep the window path: there einsum adds
-    the window in buffer-sized parts.
+    each window.  Otherwise the windows inside the rows are a strided view
+    of them, and the windows that overhang on the left, and those on the
+    right, are contracted from an edge slab: a zero-padded copy of only the
+    columns they reach, never of the whole stack (:func:`_windows`).  The
+    parts are joined along the output axis.  Each output adds its taps in
+    sequence on every path, so all give the same bits -- for complex rows,
+    and for real rows whose window fits einsum's cast buffer (EINSUM_BUFFER
+    elements).  Real rows with a longer window keep the window path: there
+    einsum adds the window in buffer-sized parts, in the view and the slabs
+    alike.
     """
     n = rows.shape[1]
     if n < taps.size and (np.iscomplexobj(rows) or taps.size <= EINSUM_BUFFER):
@@ -74,15 +96,14 @@ def _gather(rows, first, count, stride, taps):
         tap_matrix = np.where(inside, taps.astype(np.complex128)[k * inside], 0)
         out = np.einsum("ix,jx->ij", rows, tap_matrix)
     else:
-        pad_l = max(0, -first)
-        pad_r = max(0, first + (count - 1) * stride + taps.size - n)
-        if pad_l or pad_r:
-            rows = np.pad(rows, ((0, 0), (pad_l, pad_r)))
-        s0, s1 = rows.strides
-        view = as_strided(rows[:, first + pad_l:],
-                          shape=(len(rows), count, taps.size),
-                          strides=(s0, stride * s1, s1))
-        out = np.einsum("ijk,k->ij", view, taps.astype(np.complex128))
+        # windows lo..hi-1 lie inside the rows; those before overhang on
+        # the left, those after on the right (a window can do both)
+        lo = min(count, max(0, -(first // stride)))
+        hi = max(lo, min(count, (n - taps.size - first) // stride + 1))
+        out = np.concatenate(
+            [_windows(rows, first + j0 * stride, j1 - j0, stride, taps)
+             for j0, j1 in ((0, lo), (lo, hi), (hi, count)) if j0 < j1],
+            axis=1)
     return out if np.iscomplexobj(rows) else np.ascontiguousarray(out.real)
 
 
@@ -174,11 +195,18 @@ def synthesize_rows(coeffs, shift_first, level, bank, depth, cols=None):
 
 
 def top_level(weight_vectors, depth):
-    """The highest weighted level of the vectors, checked against depth."""
-    top = max((k for w in weight_vectors for k, x in enumerate(w) if x),
-              default=-1)
-    if top < 0:
-        raise ValueError(f"level must be nonnegative, got {top}")
+    """The highest weighted level of the vectors, checked against depth.
+
+    A vector with no nonzero weight, which no level sum can start from, is
+    refused, as is an empty list of vectors.
+    """
+    if not weight_vectors:
+        raise ValueError("no weight vector")
+    for w in weight_vectors:
+        if not any(w):
+            raise ValueError(
+                f"the weights are all zero: {tuple(float(x) for x in w)}")
+    top = max(k for w in weight_vectors for k, x in enumerate(w) if x)
     if top > depth - LEVEL_HEADROOM:
         raise LevelOverflow(
             f"level {top} above cap {depth - LEVEL_HEADROOM} at depth {depth}")

@@ -162,7 +162,11 @@ def tensor_sums(f, weight_lists, banks):
     """Products over axes a of sum_k w[k] E_k, one per w in weight_lists[a].
 
     f is analysed once per axis, at that axis's highest weighted level, the
-    last axis first (its rows are a view).  Each product, axis 0 outermost
+    last axis first.  Its rows are independent, so in 2-D and 3-D they are
+    analysed tile by tile from ``f.tiles()``: an unfilled
+    :class:`gridfn.TiledFunction` is never filled, and of an array only
+    views are read.  A 1-D row is read whole from ``f.data``, because its
+    tiles are column runs that windows cross.  Each product, axis 0 outermost
     and depth first, runs :func:`mra1d.level_sum` axis by axis on the
     coefficient tensor and yields its :func:`synthesize_nd` GridFunction,
     which keeps the product synthesised along every axis but the last and
@@ -170,8 +174,15 @@ def tensor_sums(f, weight_lists, banks):
     """
     banks = banks_for(banks, f.dim)
     tops = [mra1d.top_level(w, f.depth) for w in weight_lists]
-    coeffs, firsts = f.data, f.origin
-    for axis in reversed(range(f.dim)):
+    last = f.dim - 1
+    parts = [mra1d.analyze_rows(cells.reshape(-1, f.shape[last]),
+                                f.origin[last], f.depth, tops[last],
+                                banks[last])
+             for cells in (f.tiles() if last else [f.data])]
+    coeffs = np.concatenate([c for c, _ in parts]).reshape(
+        f.shape[:last] + (-1,))
+    firsts = f.origin[:last] + (parts[0][1],)
+    for axis in reversed(range(last)):
         rows, back = axis_layout(coeffs, firsts, axis)
         coeffs, firsts = back(*mra1d.analyze_rows(
             rows, f.origin[axis], f.depth, tops[axis], banks[axis]))

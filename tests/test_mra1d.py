@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import PurePosixPath
 
 import numpy as np
@@ -282,10 +283,15 @@ def test_scatter_window_has_the_bits_of_the_frame(rng, count, ntaps,
             assert got.tobytes() == whole[:, a:b].tobytes(), (a, b)
 
 
+def _pads(n, first, count, stride, size):
+    """Zero cells the windows reach left and right of rows of n cells."""
+    return max(0, -first), max(0, first + (count - 1) * stride + size - n)
+
+
 def _padded_gather(rows, first, count, stride, taps):
-    """Oracle: the windows as a strided view of zero-padded rows."""
-    pad_l = max(0, -first)
-    pad_r = max(0, first + (count - 1) * stride + taps.size - rows.shape[1])
+    """Oracle: the windows as a strided view of a zero-padded copy of the
+    whole stack of rows."""
+    pad_l, pad_r = _pads(rows.shape[1], first, count, stride, taps.size)
     padded = np.pad(rows, ((0, 0), (pad_l, pad_r)))
     s0, s1 = padded.strides
     view = as_strided(padded[:, first + pad_l:],
@@ -303,52 +309,97 @@ def _gather_rows(rng, n):
     return real, real + 1j * rng.standard_normal((6, n))
 
 
+def _window_runs(n, size, stride, firsts):
+    """(first, count) of runs of windows from each first: those that end
+    inside the rows, and all that start inside them."""
+    for first in firsts:
+        for count in sorted({(n - size - first) // stride + 1,
+                             (n - 1 - first) // stride + 1}):
+            if count >= 1:
+                yield first, count
+
+
+ALL_OVERHANGS = {(False, False), (True, False), (False, True), (True, True)}
+
+
 @pytest.mark.parametrize("bank_name", ["haar", "db2", "db3", "db4",
                                        "spline24"])
-def test_gather_matches_padded_window(registry, rng, monkeypatch, bank_name):
-    # the analysis taps at two gaps and the down-step mask, rows shorter
-    # and longer than the window, compared bit for bit; the short rows
-    # (the tap-matrix branch) pad nothing
+def test_gather_matches_padded_window(registry, rng, bank_name):
+    # the analysis taps at two gaps and the down-step mask, against the
+    # padded-copy oracle bit for bit: rows shorter than the window (the
+    # tap-matrix branch), and longer rows whose windows overhang on
+    # neither side, the left, the right and both
     dual = registry[bank_name].dual
     tap_sets = [(mra1d._table(registry[bank_name], "dual", gap)
                  .midpoint_samples(gap), 1 << gap) for gap in (4, 7)]
     tap_sets.append((dual.array() / refinable.SQRT2, 2))
-    pad = np.pad
     for taps, stride in tap_sets:
-        for n in sorted({1, taps.size // 2 + 1, taps.size - 1, taps.size,
-                         taps.size + 37}):
-            for first in (-(taps.size - 1), -(taps.size // 2), 0, 1):
-                count = max(1, (n - 1 - first) // stride + 1)
+        size, overhangs = taps.size, set()
+        for n in sorted({1, size // 2 + 1, size - 1, size, size + 37,
+                         3 * size + stride + 5}):
+            firsts = (-(size - 1), -(size // 2), 0, 1)
+            for first, count in _window_runs(n, size, stride, firsts):
+                pad_l, pad_r = _pads(n, first, count, stride, size)
+                if n >= size:
+                    overhangs.add((pad_l > 0, pad_r > 0))
                 for rows in _gather_rows(rng, n):
                     want = _padded_gather(rows, first, count, stride, taps)
-                    if n < taps.size:
-                        monkeypatch.setattr(np, "pad", None)
                     got = mra1d._gather(rows, first, count, stride, taps)
-                    monkeypatch.setattr(np, "pad", pad)
                     assert got.dtype == rows.dtype
-                    assert got.tobytes() == want.tobytes(), (n, first)
+                    assert got.tobytes() == want.tobytes(), (n, first, count)
+        assert overhangs == ALL_OVERHANGS
 
 
 def test_gather_long_real_window_keeps_window_path(rng):
     # einsum casts real rows in buffers of EINSUM_BUFFER elements and adds
     # a longer window in parts, so a tap matrix would change the bits:
-    # such rows stay on the padded window path; complex rows need no cast
+    # such rows stay on the window path, whose view and edge slabs match
+    # the padded copy on rows shorter and longer than the window, with
+    # every overhang; complex rows need no cast
     taps = rng.standard_normal(mra1d.EINSUM_BUFFER + 808)
-    real, cplx = _gather_rows(rng, 5000)
-    differs = False
-    for stride in (512, 1024, 2048):
-        first = -(taps.size - stride)
-        count = (5000 - 1 - first) // stride + 1
-        for rows in (real, cplx):
-            want = _padded_gather(rows, first, count, stride, taps)
-            got = mra1d._gather(rows, first, count, stride, taps)
-            assert got.tobytes() == want.tobytes(), stride
-        k = np.arange(5000) - first - stride * np.arange(count)[:, None]
-        inside = (k >= 0) & (k < taps.size)
-        tap_matrix = np.where(inside, taps[k * inside], 0).astype(complex)
-        by_matrix = np.einsum("ix,jx->ij", real, tap_matrix).real
-        differs |= by_matrix.tobytes() != want.tobytes()
+    differs, overhangs = False, set()
+    for n in (5000, 2 * taps.size + 3000):
+        real, cplx = _gather_rows(rng, n)
+        for stride in (512, 1024, 2048):
+            firsts = (-(taps.size - stride), 0)
+            for first, count in _window_runs(n, taps.size, stride, firsts):
+                pad_l, pad_r = _pads(n, first, count, stride, taps.size)
+                overhangs.add((pad_l > 0, pad_r > 0))
+                for rows in (real, cplx):
+                    want = _padded_gather(rows, first, count, stride, taps)
+                    got = mra1d._gather(rows, first, count, stride, taps)
+                    assert got.tobytes() == want.tobytes(), (n, stride,
+                                                             first, count)
+                if n < taps.size:
+                    k = (np.arange(n) - first
+                         - stride * np.arange(count)[:, None])
+                    inside = (k >= 0) & (k < taps.size)
+                    tap_matrix = np.where(inside, taps[k * inside],
+                                          0).astype(complex)
+                    by_matrix = np.einsum("ix,jx->ij", real, tap_matrix).real
+                    differs |= by_matrix.tobytes() != _padded_gather(
+                        real, first, count, stride, taps).tobytes()
     assert differs
+    assert overhangs == ALL_OVERHANGS
+
+
+def test_gather_pads_only_the_edges(db4, rng):
+    # the windows that overhang read zero-padded copies of the columns
+    # they reach, never a padded copy of the whole stack
+    gap = 7
+    taps = mra1d._table(db4, "dual", gap).midpoint_samples(gap)
+    stride = 1 << gap
+    rows = rng.standard_normal((64, 8192)) + 1j * rng.standard_normal(
+        (64, 8192))
+    first = -(taps.size - stride)
+    count = (rows.shape[1] - 1 - first) // stride + 1
+    tracemalloc.start()
+    try:
+        mra1d._gather(rows, first, count, stride, taps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes // 2
 
 
 def test_scatter_refuses_frame_over_memory_budget(monkeypatch, rng):

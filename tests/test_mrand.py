@@ -577,3 +577,66 @@ def test_tensor_pass_holds_no_frame(db2, rng, monkeypatch, shape):
     assert len(products) == 2 ** len(shape)
     for g in products + [sf]:
         assert isinstance(g, gf.TiledFunction) and g._frame is None
+
+
+# (coefficient shape, level, depth) of a synthesised member whose frame is
+# a few MiB: 384^2 and 96^3 cells
+TILED_INPUTS = {"2d": ((4, 4), 2, 8), "3d": ((4, 4, 4), 0, 4)}
+
+
+@pytest.mark.parametrize("case", sorted(TILED_INPUTS))
+def test_tensor_sums_analyses_unfilled_input_tile_by_tile(db2, rng,
+                                                          monkeypatch, case):
+    # the last axis is analysed from the tiles: an unfilled input gives
+    # the coefficient bytes of its filled frame, is never filled, and the
+    # analysis holds less than one input frame at its peak
+    shape, level, depth = TILED_INPUTS[case]
+    monkeypatch.setattr(gf, "TILE_CELLS", 1 << 12)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def member():
+        return mrand.synthesize_nd(coeffs, (0,) * len(shape),
+                                   (level,) * len(shape), db2, depth)
+
+    weight_lists = [[mrand.detail_weights(k) for k in range(level + 1)]
+                    ] * len(shape)
+    seen = []
+    synthesize_nd = mrand.synthesize_nd
+
+    def traced_synthesis(data, firsts, *args):
+        seen.append((np.asarray(data).tobytes(), tuple(firsts)))
+        return synthesize_nd(data, firsts, *args)
+
+    filled = member()
+    frame = gf.GridFunction(filled.data, depth, filled.origin)
+    unfilled = member()
+    monkeypatch.setattr(mrand, "synthesize_nd", traced_synthesis)
+    list(mrand.tensor_sums(frame, weight_lists, db2))
+    want, seen[:] = seen[:], []
+    list(mrand.tensor_sums(unfilled, weight_lists, db2))
+    assert seen == want and len(want) == (level + 1) ** len(shape)
+    assert unfilled._frame is None
+    frame_bytes = math.prod(frame.shape) * frame.dtype.itemsize
+    del filled, frame
+    gc.collect()
+    tracemalloc.start()
+    try:
+        next(mrand.tensor_sums(unfilled, weight_lists, db2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert unfilled._frame is None
+    assert peak < frame_bytes
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, haar: list(mrand.tensor_sums(f, [[(0.0, 0.0)]], haar)),
+    lambda f, haar: list(mrand.tensor_sums(f, [[(1.0,), (0.0, 0.0)]], haar)),
+    lambda f, haar: mrand.apply_axis(mrand.LevelSum(haar, (0.0,)), f, 0),
+], ids=["only-vector", "second-vector", "apply-axis"])
+def test_all_zero_weights_are_refused(haar, rng, call):
+    # no level sum starts from an all-zero vector; the message says so
+    # instead of naming a level nobody passed
+    f = noise(rng, (64,), 6)
+    with pytest.raises(ValueError, match="weights are all zero"):
+        call(f, haar)

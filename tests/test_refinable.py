@@ -314,6 +314,28 @@ def test_db2_gram_riesz_window(db2):
     assert np.abs(g - g16).max() < 1e-6
 
 
+def test_spline24_gram_is_the_hat_gram(spline24):
+    # spline24's primal is the hat function, whose Gram symbol is
+    # (2 + cos xi) / 3: 2/3 on the diagonal, 1/6 beside it, 0 elsewhere.
+    # The midpoint rule at depth 12 moves them by -4^-12/6 and +4^-12/12
+    # (it misses h^2/12 of the integral of a piecewise quadratic with
+    # second derivative +-2, h = 2^-12), so the eigenvalues of the 32-shift
+    # window lie within 4^-12/3 < 2e-8 of 2/3 + cos(k pi/33)/3, in [1/3, 1].
+    # Measured: entries within 1.2e-16 of the shifted values, eigenvalues
+    # within 1.98e-8 of the hat's
+    g = refinable.shift_gram(spline24, "primal", shifts=32, depth=12)
+    e = 4.0 ** -12
+    band = sum(np.diag(np.diag(g, off), off) for off in (-1, 0, 1))
+    assert np.array_equal(g, band)
+    assert np.abs(np.diag(g) - (2 / 3 - e / 6)).max() <= 1e-15
+    for off in (-1, 1):
+        assert np.abs(np.diag(g, off) - (1 / 6 + e / 12)).max() <= 1e-15
+    eigs = np.linalg.eigvalsh(g)
+    hat = np.sort(2 / 3 + np.cos(np.arange(1, 33) * np.pi / 33) / 3)
+    assert np.abs(eigs - hat).max() <= 2e-8
+    assert 1 / 3 <= eigs.min() and eigs.max() <= 1
+
+
 def test_orthonormal_gram_is_identity(registry):
     for name in ("haar", "db2", "db3", "db4"):
         g = refinable.shift_gram(registry[name], "primal", shifts=16, depth=12)
