@@ -74,17 +74,6 @@ def _float_list(text):
     return [float(tok) for tok in _str_list(text)]
 
 
-def _load_banks(ids, registry_dir):
-    registry = refinable.load_registry(registry_dir)
-    banks = []
-    for bank_id in ids:
-        if bank_id not in registry:
-            raise KeyError(f"unknown bank {bank_id!r}; registry has "
-                           f"{', '.join(sorted(registry))}")
-        banks.append(registry[bank_id])
-    return banks
-
-
 def _experiment_banks(args, input_dtype):
     """Check the settings identities and lp-sweep share, before anything is
     drawn or written, and return the accepted banks, one per axis.
@@ -98,7 +87,7 @@ def _experiment_banks(args, input_dtype):
         raise ValueError(
             f"headroom violated: depth {args.depth} - max_level "
             f"{args.max_level} < {mra1d.LEVEL_HEADROOM}")
-    banks = _load_banks(args.banks, args.registry)
+    banks = [refinable.get_bank(b, args.registry) for b in args.banks]
     assignment = mrand.banks_for(banks if len(banks) > 1 else banks[0],
                                  args.dim)
     gridfn.check_frame((2 ** args.depth,) * args.dim, input_dtype)
@@ -146,7 +135,7 @@ def cmd_filters(args):
 def cmd_table(args):
     if args.bank is None:
         raise ValueError("table needs a bank id (--bank)")
-    (bank,) = _load_banks([args.bank], args.registry)
+    bank = refinable.get_bank(args.bank, args.registry)
     table = refinable.DEFAULT_CACHE.get(bank, args.which, args.depth)
     print(f"{bank.bank_id}/{args.which} depth={args.depth} "
           f"points={len(table.values)} checksum={table.checksum[:16]}")

@@ -7,8 +7,8 @@ is therefore the plain cell sum, which is exact for the step function
 itself; continuous integrands should be sampled at cell midpoints
 (:func:`sample`), making the cell sum a midpoint rule.
 
-The module also hosts the shared multi-index helpers: the binary patterns
-of inclusion-exclusion and box enumeration.
+The module also hosts :func:`box_range`, the enumeration of the
+multi-indices in a box.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,21 +40,21 @@ def _as_tuple(value, dim):
     return out
 
 
-@dataclass(frozen=True)
 class GridFunction:
     """Real or complex samples on a dyadic grid; immutable after construction.
 
     data    -- d-dimensional cell values: complex128 if complex, else float64
     depth   -- grid step is 2**-depth along every axis
     origin  -- integer corner of the bounding box, in grid units
+
+    The frame is given, checked and kept read-only; a :class:`TiledFunction`
+    makes it on demand instead.  ``shape``, ``dtype``, ``depth`` and
+    ``origin`` are set once; ``repr``, ``==`` and ``hash`` are by identity
+    and read no cell.
     """
 
-    data: np.ndarray
-    depth: int
-    origin: tuple
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
+    def __init__(self, data, depth, origin):
+        arr = np.asarray(data)
         if arr.ndim < 1 or arr.ndim > MAX_DIM:
             raise ValueError(f"dimension {arr.ndim} outside 1..{MAX_DIM}")
         arr = np.ascontiguousarray(
@@ -63,33 +62,53 @@ class GridFunction:
         if not np.isfinite(arr.view(np.float64)).all():
             raise ValueError("grid data contains NaN or Inf")
         arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "origin", _as_tuple(self.origin, arr.ndim))
-        object.__setattr__(self, "depth", int(self.depth))
+        self._set(arr, None, arr.shape, arr.dtype, depth, origin)
+
+    def _set(self, frame, make, shape, dtype, depth, origin):
+        # vars(self) is written past __setattr__, which refuses every name
+        vars(self).update(_frame=frame, _make=make, shape=tuple(shape),
+                          dtype=np.dtype(dtype), depth=int(depth),
+                          origin=_as_tuple(origin, len(shape)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def dim(self):
         return len(self.shape)
 
     @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
     def cell_volume(self):
         return 2.0 ** (-self.depth * self.dim)
+
+    @property
+    def data(self):
+        """The whole frame.  A frame made on demand is filled once, through
+        :meth:`tiles`, under the frame budget (:func:`check_frame`), and
+        kept."""
+        if self._frame is None:
+            check_frame(self.shape, self.dtype)
+            frame, a = np.empty(self.shape, self.dtype), 0
+            for cells in self.tiles():
+                frame[a:a + len(cells)] = cells
+                a += len(cells)
+            frame.setflags(write=False)
+            vars(self)["_frame"] = frame
+        return self._frame
 
     def box(self):
         """Per-axis (lo, hi) of the bounding box in grid units, half open."""
         return tuple((o, o + n) for o, n in zip(self.origin, self.shape))
 
     def tile(self, a, b):
-        """The cells data[a:b] along axis 0."""
-        return self.data[a:b]
+        """The cells data[a:b] along axis 0, made on demand until the frame
+        is filled."""
+        if self._frame is None:
+            return self._make(a, b)
+        return self._frame[a:b]
 
     def tiles(self):
         """The cells in tiles along axis 0, in flat (row-major) order: whole
@@ -120,44 +139,15 @@ class GridFunction:
 class TiledFunction(GridFunction):
     """A GridFunction whose cells are made on demand, tile by tile.
 
-    ``make(a, b)`` returns the cells data[a:b] along axis 0.  Reading
-    ``data`` fills the whole frame once, through :meth:`tiles`, and keeps
-    it; that fill is where the frame budget (:func:`check_frame`) applies.
-    :func:`lp_norms`, and :func:`mrand.tensor_sums` in 2-D and 3-D, read
-    the tiles and never hold the frame.
+    ``make(a, b)`` returns the cells data[a:b] along axis 0, unchecked for
+    NaN or Inf.  :func:`lp_norms`, and :func:`mrand.tensor_sums` in 2-D and
+    3-D, read the tiles and never hold the frame.  The constructor does not
+    run GridFunction's, so a wrapper of that one (the benchmark's tracer,
+    which reads ``data``) sees only given frames.
     """
 
     def __init__(self, make, shape, dtype, depth, origin):
-        for name, value in (("_make", make), ("_shape", tuple(shape)),
-                            ("_dtype", np.dtype(dtype)), ("_frame", None),
-                            ("depth", int(depth)),
-                            ("origin", _as_tuple(origin, len(shape)))):
-            object.__setattr__(self, name, value)
-
-    @property
-    def shape(self):
-        return self._shape
-
-    @property
-    def dtype(self):
-        return self._dtype
-
-    @property
-    def data(self):
-        if self._frame is None:
-            check_frame(self.shape, self.dtype)
-            frame, a = np.empty(self.shape, self.dtype), 0
-            for cells in self.tiles():
-                frame[a:a + len(cells)] = cells
-                a += len(cells)
-            frame.setflags(write=False)
-            object.__setattr__(self, "_frame", frame)
-        return self._frame
-
-    def tile(self, a, b):
-        if self._frame is not None:
-            return self._frame[a:b]
-        return self._make(a, b)
+        self._set(None, make, shape, dtype, depth, origin)
 
 
 @functools.cache
@@ -471,17 +461,3 @@ def box_range(bound):
     """Iterate the nonnegative multi-indices <= bound componentwise."""
     return itertools.product(*(range(b + 1) for b in bound))
 
-
-def sign_patterns(dim):
-    """All 0/1 patterns of length dim (the inclusion-exclusion index set)."""
-    return list(itertools.product((0, 1), repeat=dim))
-
-
-def pattern_parity(eps):
-    """(-1)**(number of ones)."""
-    return -1 if sum(eps) % 2 else 1
-
-
-def pattern_within(eps, levels):
-    """Whether the pattern only hits axes where the level is positive."""
-    return all(e == 0 or k > 0 for e, k in zip(eps, levels))

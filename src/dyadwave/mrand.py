@@ -20,8 +20,7 @@ import numpy as np
 
 from . import mra1d, refinable
 from .errors import AxisOutOfRange
-from .gridfn import (GridFunction, TiledFunction, _as_tuple, box_range,
-                     combine, pattern_parity, pattern_within, sign_patterns)
+from .gridfn import GridFunction, TiledFunction, _as_tuple, box_range, combine
 
 # side of the square tiles of a transposing row copy, in elements
 LAYOUT_TILE = 64
@@ -220,9 +219,10 @@ def mixed_detail(f, levels, banks, form="factorized"):
         return tensor_level_sum(f, [detail_weights(k) for k in levels], banks)
     if form == "alternating":
         return combine(
-            (pattern_parity(eps),
+            ((-1) ** sum(eps),
              project_nd(f, tuple(k - e for k, e in zip(levels, eps)), banks))
-            for eps in sign_patterns(f.dim) if pattern_within(eps, levels))
+            for eps in itertools.product((0, 1), repeat=f.dim)
+            if all(e <= k for e, k in zip(eps, levels)))
     raise ValueError(f"unknown form {form!r}")
 
 

@@ -428,8 +428,8 @@ def load_registry(directory=None):
 def get_bank(bank_id, directory=None):
     banks = load_registry(directory)
     if bank_id not in banks:
-        raise KeyError(f"no bank {bank_id!r} in registry "
-                       f"({', '.join(sorted(banks))})")
+        raise KeyError(f"unknown bank {bank_id!r}; registry has "
+                       f"{', '.join(sorted(banks))}")
     return banks[bank_id]
 
 

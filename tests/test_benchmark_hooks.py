@@ -11,7 +11,8 @@ import dataclasses
 import importlib.util
 from pathlib import Path
 
-from dyadwave import cli, czd, lpharness, mrand, refinable  # cli imports all
+from dyadwave import (cli, czd, gridfn, lpharness, mrand,  # cli imports all
+                      refinable)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -94,6 +95,31 @@ def test_identity_battery_reaches_every_traced_layer(db4, haar):
     calls = _traced_calls(
         lambda: cli._identity_battery([db4, haar], 2, 6, 1, 601))
     assert [name for name in BATTERY_LAYERS if not calls.get(name)] == []
+
+
+def test_traced_battery_counts_only_eager_grid_functions(db4, haar,
+                                                        monkeypatch):
+    # the tracer wraps GridFunction.__init__ and its measure reads .data; a
+    # TiledFunction passing through that constructor would be counted and
+    # have its frame filled
+    eager, lazy = [], []
+    init, tiled_init = (gridfn.GridFunction.__init__,
+                        gridfn.TiledFunction.__init__)
+
+    def record(self, *args):
+        eager.append(type(self))
+        init(self, *args)
+
+    def record_tiled(self, *args):
+        lazy.append(type(self))
+        tiled_init(self, *args)
+
+    monkeypatch.setattr(gridfn.GridFunction, "__init__", record)
+    monkeypatch.setattr(gridfn.TiledFunction, "__init__", record_tiled)
+    calls = _traced_calls(
+        lambda: cli._identity_battery([db4, haar], 2, 6, 1, 601))
+    assert lazy and set(eager) == {gridfn.GridFunction}
+    assert calls["gridfn.GridFunction"] == len(eager)
 
 
 def test_ident2d_haar_axis_check_holds(monkeypatch, tmp_path):

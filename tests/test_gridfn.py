@@ -58,6 +58,41 @@ def test_immutability(rng):
         f.data[0] = 1.0
 
 
+def _tiled(made):
+    """A 4 x 3 TiledFunction whose make records each call."""
+    def make(a, b):
+        made.append((a, b))
+        return np.ones((b - a, 3))
+    return gf.TiledFunction(make, (4, 3), np.float64, 5, (0, 0))
+
+
+def test_repr_and_str_read_no_cell():
+    made = []
+    f = _tiled(made)
+    assert "TiledFunction" in repr(f) and "TiledFunction" in str(f)
+    assert made == [] and f._frame is None
+
+
+def test_eq_and_hash_by_identity(rng):
+    made = []
+    f, g = _tiled(made), _tiled(made)
+    assert f == f and f != g and len({f, g, f}) == 2
+    assert made == [] and f._frame is None and g._frame is None
+    h = random_gridfn(rng, (4,), 5)
+    twin = gf.GridFunction(h.data, 5, (0,))  # the same cells
+    assert h == h and h != twin and len({h, twin}) == 2
+
+
+@pytest.mark.parametrize("tiled", [False, True], ids=["given", "made"])
+def test_attributes_are_set_once(rng, tiled):
+    f = _tiled([]) if tiled else random_gridfn(rng, (4,), 5)
+    with pytest.raises(AttributeError):
+        f.depth = 3
+    with pytest.raises(AttributeError):
+        del f.origin
+    assert (f.depth, f.origin[0]) == (5, 0)
+
+
 def test_sample_box_alignment():
     with pytest.raises(ValueError, match="lattice"):
         gf.sample(lambda x: x, 4, ((0.0, 0.3),))
@@ -282,7 +317,4 @@ def test_scalar_product_and_negation_are_lazy(rng, monkeypatch, real, scalar):
 
 
 def test_multiindex_helpers():
-    assert set(gf.sign_patterns(2)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert gf.pattern_parity((1, 1)) == 1 and gf.pattern_parity((1, 0)) == -1
     assert list(gf.box_range((1, 1))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert gf.pattern_within((1, 0), (2, 0)) and not gf.pattern_within((1, 1), (2, 0))
