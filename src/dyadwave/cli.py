@@ -45,10 +45,7 @@ def _with_config(parser, argv, args):
                          f"{', '.join(unknown)}")
     if "plot" in config:
         config["plot"] = config["plot"].lower() in ("1", "true", "yes", "on")
-    command = parser.commands[args.command]
-    command.set_defaults(**config)
-    # a value that does not convert raises ArgumentError, reported below
-    parser.exit_on_error = command.exit_on_error = False
+    parser.commands[args.command].set_defaults(**config)
     try:
         return parser.parse_args(argv)
     except argparse.ArgumentError as exc:
@@ -63,7 +60,10 @@ def _positive(name, value):
 
 
 def _str_list(text):
-    return text.replace(",", " ").split()
+    items = text.replace(",", " ").split()
+    if not items:
+        raise argparse.ArgumentTypeError(f"needs a value, got {text!r}")
+    return items
 
 
 def _int_list(text):
@@ -72,6 +72,13 @@ def _int_list(text):
 
 def _float_list(text):
     return [float(tok) for tok in _str_list(text)]
+
+
+def _jobs(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _experiment_banks(args, input_dtype):
@@ -307,6 +314,8 @@ def cmd_cz(args):
     if args.depth < 0 or any(seed < 0 for seed in args.seeds):
         raise ValueError("depth and seeds must be nonnegative, got "
                          f"{args.depth} and {args.seeds}")
+    # from depth 18 on, drawing a member peaks at under five of its frames
+    gridfn.check_frame((2 ** args.depth,), np.float64)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     failures = 0
@@ -364,9 +373,11 @@ def cmd_report(args):
 def build_parser():
     """Every command's flags with their types and defaults; ``.commands``
     maps each command name to its subparser."""
+    # a value a flag's type refuses raises ArgumentError: exit 2 in main
     parser = argparse.ArgumentParser(
         prog="dyadwave",
-        description="dyadic multiresolution experiment driver")
+        description="dyadic multiresolution experiment driver",
+        exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
     # a string default is converted by the flag's type, as a config value is
     shared = {
@@ -374,7 +385,7 @@ def build_parser():
                   "help": "output directory (default: out)"},
         "--registry": {"help": "filter registry directory"},
         "--seed": {"type": int, "default": 0, "help": "base RNG seed"},
-        "--jobs": {"type": int, "default": 1,
+        "--jobs": {"type": _jobs, "default": 1,
                    "help": "parallel corpus entries (lp-sweep); identities "
                            "and cz accept it and ignore it"},
         "--tolerance-scale": {"type": float, "default": 1.0,
@@ -389,7 +400,8 @@ def build_parser():
     def command(name, func, help, *flags):
         """A subcommand with --config and the named shared flags."""
         # no abbreviations: cz would read --seed as its --seeds
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p = sub.add_parser(name, help=help, allow_abbrev=False,
+                           exit_on_error=False)
         p.set_defaults(func=func)
         p.add_argument("--config", help="structured text config file")
         for flag in flags:
@@ -440,12 +452,13 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config:
             args = _with_config(parser, argv, args)
         return args.func(args)
-    except (DyadwaveError, OSError, KeyError, ValueError, MemoryError) as exc:
+    except (argparse.ArgumentError, DyadwaveError, OSError, KeyError,
+            ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import mrand
 from .errors import NonProductPattern, TooManyTerms
-from .gridfn import (GridFunction, TiledFunction, abs_sq, lp_norms, sample,
-                     tile_part)
+from .gridfn import (SUM_LEAF, GridFunction, TiledFunction, abs_sq, lp_norms,
+                     sample, tile_part)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +241,12 @@ def libm_map(fn, x):
     """fn from :mod:`math` (libm), elementwise over a 1-D float array.
 
     numpy's SIMD loops for exp, sin and the like round differently per CPU;
-    libm gives the same bits on every CPU.
+    libm gives the same bits on every CPU.  x is read in runs of SUM_LEAF
+    values, so no list of Python floats as long as the frame is made.
     """
-    return np.fromiter(map(fn, x.tolist()), np.float64, count=x.size)
+    runs = (x[i:i + SUM_LEAF].tolist() for i in range(0, x.size, SUM_LEAF))
+    return np.fromiter(map(fn, itertools.chain.from_iterable(runs)),
+                       np.float64, count=x.size)
 
 
 def _separable(factors, depth):

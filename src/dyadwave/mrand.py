@@ -22,9 +22,6 @@ from . import mra1d, refinable
 from .errors import AxisOutOfRange
 from .gridfn import GridFunction, TiledFunction, _as_tuple, box_range, combine
 
-# side of the square tiles of a transposing row copy, in elements
-LAYOUT_TILE = 64
-
 
 def banks_for(banks, dim):
     """Normalize a bank argument to a tuple of accepted banks, one per axis."""
@@ -39,23 +36,13 @@ def banks_for(banks, dim):
 
 
 class LevelSum:
-    """sum_k w[k] E_k along one axis, for per-level weights w[0..K].
-
-    One analysis and one synthesis, with the levels between them in
-    coefficient space (:func:`mra1d.level_sum`).  A projection is a
-    one-hot weight vector, a detail is (..., -1, +1).
-    """
+    """sum_k w[k] E_k along one axis, for per-level weights w[0..K]: the
+    (bank, weights) record that :func:`apply_axis` lifts.  A projection is
+    a one-hot weight vector, a detail is (..., -1, +1)."""
 
     def __init__(self, bank, weights):
         self.bank = bank
         self.weights = tuple(float(w) for w in weights)
-
-    def apply_rows(self, rows, origin, depth):
-        top = mra1d.top_level([self.weights], depth)
-        analysis = mra1d.analyze_rows(rows, origin, depth, top, self.bank)
-        return mra1d.synthesize_rows(
-            *mra1d.level_sum(*analysis, top, rows.shape[1], origin, depth,
-                             self.weights, self.bank), top, self.bank, depth)
 
 
 class LevelProjection(LevelSum):
@@ -73,42 +60,36 @@ def detail_weights(level):
 def axis_layout(data, origin, axis):
     """Contiguous rows of the 1-D slices of `data` along `axis`, and back.
 
-    Rows already contiguous (the last axis, 1-D data) are a view.  Any
-    other axis is copied in LAYOUT_TILE-square tiles of the last two axes
-    (a cache-aware transpose): at power-of-two row strides, and at any
-    multiple of 2 KiB, a plain transposing copy maps the lines it reads
-    and writes onto a few cache sets, which evict each other.
-    back(rows, first) gives output rows from cell `first` as (view, origin).
+    Rows already contiguous (the last axis, 1-D data) are a view; any
+    other axis is one numpy copy.  back(rows, first) gives output rows
+    from cell `first` as (view, origin).
     """
     if not 0 <= axis < data.ndim:
         raise AxisOutOfRange(f"axis {axis} for dimension {data.ndim}")
-    moved = np.moveaxis(data, axis, -1)
-    lead = moved.shape[:-1]
+    rows = np.ascontiguousarray(np.moveaxis(data, axis, -1))
+    lead = rows.shape[:-1]
 
     def back(rows, first):
         return (np.moveaxis(rows.reshape(lead + (rows.shape[1],)), -1, axis),
                 origin[:axis] + (first,) + origin[axis + 1:])
 
-    if moved.flags.c_contiguous:
-        return moved.reshape(-1, moved.shape[-1]), back
-    rows = np.empty(moved.shape, moved.dtype)
-    src, dst = np.atleast_2d(moved, rows)
-    for r in range(0, src.shape[-2], LAYOUT_TILE):
-        for c in range(0, src.shape[-1], LAYOUT_TILE):
-            tile = (..., slice(r, r + LAYOUT_TILE), slice(c, c + LAYOUT_TILE))
-            dst[tile] = src[tile]
     return rows.reshape(-1, rows.shape[-1]), back
 
 
-def apply_axis(base, f, axis):
-    """Lift a 1-D transform to act along one axis of f.
+def apply_axis(op, f, axis):
+    """Lift the level sum `op` (a :class:`LevelSum`) to act along one axis.
 
-    ``base.apply_rows(rows, origin, depth)`` transforms the whole stack of
-    slices in that direction at once, as an array of rows sharing one
-    origin, and returns the output rows with their common new origin.
+    The whole stack of slices in that direction is transformed at once, as
+    an array of rows sharing one origin: one analysis and one synthesis,
+    with the levels between them in coefficient space
+    (:func:`mra1d.level_sum`).
     """
     rows, back = axis_layout(f.data, f.origin, axis)
-    data, origin = back(*base.apply_rows(rows, f.origin[axis], f.depth))
+    top = mra1d.top_level([op.weights], f.depth)
+    coeffs = mra1d.level_sum(
+        *mra1d.analyze_rows(rows, f.origin[axis], f.depth, top, op.bank),
+        top, rows.shape[1], f.origin[axis], f.depth, op.weights, op.bank)
+    data, origin = back(*mra1d.synthesize_rows(*coeffs, top, op.bank, f.depth))
     return GridFunction(data, f.depth, origin)
 
 

@@ -344,6 +344,15 @@ def _never_drawn(*args, **kwargs):
     (["lp-sweep", "--dim", "4", "--depth", "8"], "dim must be 1, 2 or 3"),
     (["lp-sweep", "--banks", "haar,haar,haar", "--dim", "2"],
      "3 banks for dimension 2"),
+    # an empty list or a job count below 1 is refused by the flag's type
+    (["lp-sweep", "--banks", ","], "argument --banks: needs a value"),
+    (["identities", "--banks", ","], "argument --banks: needs a value"),
+    (["lp-sweep", "--p-list", ","], "argument --p-list: needs a value"),
+    (["cz", "--seeds", ","], "argument --seeds: needs a value"),
+    (["cz", "--alphas", ","], "argument --alphas: needs a value"),
+    (["lp-sweep", "--jobs", "0"], "argument --jobs: must be at least 1"),
+    (["identities", "--jobs", "-4"], "argument --jobs: must be at least 1"),
+    (["cz", "--jobs", "0"], "argument --jobs: must be at least 1"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_experiment_settings_checked_before_anything_is_made(
         argv, message, tmp_path, capsys, monkeypatch):
@@ -361,6 +370,7 @@ def test_experiment_settings_checked_before_anything_is_made(
     (["identities", "--depth", "14"], "16384 complex128"),
     (["identities", "--dim", "2", "--depth", "14"], "16384 x 16384 complex128"),
     (["lp-sweep", "--depth", "15"], "32768 float64"),
+    (["cz", "--depth", "15"], "32768 float64"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_input_frame_checked_before_it_is_drawn(argv, frame, tmp_path, capsys,
                                                 monkeypatch):
@@ -369,6 +379,7 @@ def test_input_frame_checked_before_it_is_drawn(argv, frame, tmp_path, capsys,
     monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     monkeypatch.setattr(cli.lpharness, "standard_corpus", _never_drawn)
     monkeypatch.setattr(cli, "_identity_battery", _never_drawn)
+    monkeypatch.setattr(cli, "_cz_corpus_member", _never_drawn)
     out = tmp_path / "o"
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err

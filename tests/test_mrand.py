@@ -79,7 +79,8 @@ def _layout_inputs(rng, shape, dtype):
 @pytest.mark.parametrize("shape", [(70,), (64, 128), (130, 67), (3, 65, 129),
                                    (17, 5, 64)])
 def test_axis_layout_matches_contiguous_copy(rng, shape, dtype):
-    # tiled copy against numpy's own: every axis, lengths on and off the tile
+    # rows against a contiguous copy of the moved axis: every axis, powers
+    # of two and odd lengths, a view only where the rows are contiguous
     for kind, x in _layout_inputs(rng, shape, dtype).items():
         for axis in range(x.ndim):
             rows, back = mrand.axis_layout(x, (3,) * x.ndim, axis)
