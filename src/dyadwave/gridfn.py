@@ -8,11 +8,13 @@ itself; continuous integrands should be sampled at cell midpoints
 (:func:`sample`), making the cell sum a midpoint rule.
 
 The module also hosts :func:`box_range`, the enumeration of the
-multi-indices in a box.
+multi-indices in a box, and :func:`kernel_buffer`, the ufunc buffer of the
+elementwise row and tile kernels.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -29,6 +31,28 @@ MAX_DIM = 3
 TILE_CELLS = 1 << 18
 # one materialised frame may take 1/FRAME_MEMORY_PARTS of the memory budget
 FRAME_MEMORY_PARTS = 6
+# elements in numpy's ufunc buffer inside the elementwise kernels
+KERNEL_BUFSIZE = 256
+
+
+@contextlib.contextmanager
+def kernel_buffer():
+    """Run the body with numpy's ufunc buffer at KERNEL_BUFSIZE elements,
+    then restore the caller's size, also on an exception.
+
+    With numpy's default of 8192 elements, a ufunc whose 2-D operands have
+    rows shorter than the buffer and are broadcast (``c[:, j:j + 1] * run``)
+    or not contiguous with each other (``o[:, lo:hi] += tmp``) goes through
+    buffered copies and runs several times slower than on contiguous rows.
+    An elementwise op gives the same bits at every buffer size; a reduction
+    need not (``np.sum`` of a strided view adds in buffer-sized parts), so
+    only elementwise ops run in the body.  The size is thread-local.
+    """
+    old = np.setbufsize(KERNEL_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _as_tuple(value, dim):
@@ -246,8 +270,9 @@ def combine(terms):
     of a weight -1 (no temporary) and ``+= cells * w`` otherwise, so sums
     of ``+`` and ``-`` keep the bits of the pairwise ufuncs, and a scalar
     product those of ``data * w`` (numpy's complex loops round ``w * z``
-    and ``z * w`` differently).  Like any combine result, a lazy scalar
-    product is not checked for NaN or Inf.
+    and ``z * w`` differently).  The terms' cells are fetched outside, and
+    added under, the kernel's ufunc buffer (:func:`kernel_buffer`).  Like
+    any combine result, a lazy scalar product is not checked for NaN or Inf.
     """
     terms = list(terms)
     if not all(isinstance(g, GridFunction) for _, g in terms):
@@ -267,12 +292,13 @@ def combine(terms):
             if part is None:
                 continue
             index, cells = part
-            if w == 1:
-                out[index] += cells
-            elif w == -1:
-                out[index] -= cells
-            else:
-                out[index] += cells * w
+            with kernel_buffer():
+                if w == 1:
+                    out[index] += cells
+                elif w == -1:
+                    out[index] -= cells
+                else:
+                    out[index] += cells * w
         return out
 
     return TiledFunction(make, shape, dtype, depths.pop(),
@@ -334,14 +360,16 @@ def abs_sq(data):
     Built from correctly rounded operations only, so the bits do not depend
     on the SIMD loop numpy dispatches (``np.abs`` of a complex array does).
     A real array gives the bits of the same values stored as complex.  A
-    complex array holds two float64 arrays of its shape at the peak.
+    complex array holds two float64 arrays of its shape at the peak.  The
+    products run under the kernel's ufunc buffer (:func:`kernel_buffer`).
     """
     v = np.ascontiguousarray(data).view(np.float64)
-    if not np.iscomplexobj(data):
-        return v * v
-    re, im = v[..., 0::2], v[..., 1::2]
-    out = re * re
-    out += im * im
+    with kernel_buffer():
+        if not np.iscomplexobj(data):
+            return v * v
+        re, im = v[..., 0::2], v[..., 1::2]
+        out = re * re
+        out += im * im
     return out
 
 

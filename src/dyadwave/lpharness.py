@@ -25,8 +25,8 @@ import numpy as np
 
 from . import mrand
 from .errors import NonProductPattern, TooManyTerms
-from .gridfn import (SUM_LEAF, GridFunction, TiledFunction, abs_sq, lp_norms,
-                     sample, tile_part)
+from .gridfn import (SUM_LEAF, GridFunction, TiledFunction, abs_sq,
+                     kernel_buffer, lp_norms, sample, tile_part)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,9 @@ def square_function(f, max_level, banks):
     from :func:`gridfn.abs_sq` (v*v, or re*re + im*im) in the fixed
     depth-first block order, and the root is the correctly rounded
     ``np.sqrt``, so the result does not depend on the SIMD target or the
-    BLAS, nor on the tiles.
+    BLAS, nor on the tiles.  Each block's cells are fetched outside, and
+    added under, the kernel's ufunc buffer (:func:`gridfn.kernel_buffer`),
+    which keeps the bits.
     """
     weights = [mrand.detail_weights(k) for k in range(max_level + 1)]
     blocks = list(mrand.tensor_sums(f, [weights] * f.dim, banks))
@@ -119,7 +121,8 @@ def square_function(f, max_level, banks):
         for block in blocks:
             part = tile_part(block, box, a, b)
             if part:
-                acc[part[0]] += abs_sq(part[1])
+                with kernel_buffer():
+                    acc[part[0]] += abs_sq(part[1])
         return np.sqrt(acc, out=acc)
 
     return TiledFunction(make, shape, np.float64, f.depth, blocks[0].origin)

@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import refinable
 from .errors import LevelOverflow, ResolutionExhausted
-from .gridfn import check_frame
+from .gridfn import check_frame, kernel_buffer
 
 LEVEL_HEADROOM = 4
 # bound on one temporary of the synthesis loop
@@ -116,36 +116,42 @@ def _scatter(coeffs, taps, stride, cols=None):
     whole output.  The loop runs over the shorter of the j and the t that
     reach the window: over j it adds a run of taps per coefficient, over
     t, in descending order, one tap times a run of coefficients.  Row
-    tiles keep temporaries under SCATTER_TILE_BYTES where a row fits.  An
-    output over the frame budget raises FrameTooLarge unallocated
-    (:func:`gridfn.check_frame`).
+    tiles keep temporaries under SCATTER_TILE_BYTES where a row fits.  The
+    taps are cast once to the output dtype, the cast numpy would make for
+    every product, and the loop runs under the kernel's ufunc buffer
+    (:func:`gridfn.kernel_buffer`), which keeps the short broadcast and
+    strided rows off numpy's buffered copies.  An output over the frame
+    budget raises FrameTooLarge unallocated (:func:`gridfn.check_frame`).
     """
     rows, count = coeffs.shape
     a, b = cols or (0, (count - 1) * stride + taps.size)
     dtype = np.result_type(coeffs, taps)
     check_frame((rows, b - a), dtype)
     out = np.zeros((rows, b - a), dtype=dtype)
+    taps = taps.astype(dtype, copy=False)
     # the coefficients j0..j1-1 reach the window
     j0 = max(0, (a - taps.size) // stride + 1)
     j1 = min(count, (b - 1) // stride + 1)
     by_shift = j1 - j0 <= taps.size
     tile = max(1, SCATTER_TILE_BYTES // (out.itemsize * max(count, taps.size)))
-    for r0 in range(0, rows, tile):
-        c, o = coeffs[r0:r0 + tile], out[r0:r0 + tile]
-        if by_shift:
-            for j in range(j0, j1):
-                lo = max(a, j * stride)
-                hi = min(b, j * stride + taps.size)
-                run = taps[lo - j * stride:hi - j * stride]
-                o[:, lo - a:hi - a] += c[:, j:j + 1] * run
-        else:
-            for t in range(taps.size - 1, -1, -1):
-                # the j with j * stride + t in the window
-                lo = max(j0, -((t - a) // stride))
-                hi = min(j1, (b - 1 - t) // stride + 1)
-                if lo < hi:
-                    o[:, lo * stride + t - a:(hi - 1) * stride + t - a + 1:
-                      stride] += c[:, lo:hi] * taps[t]
+    with kernel_buffer():
+        for r0 in range(0, rows, tile):
+            c, o = coeffs[r0:r0 + tile], out[r0:r0 + tile]
+            if by_shift:
+                for j in range(j0, j1):
+                    lo = max(a, j * stride)
+                    hi = min(b, j * stride + taps.size)
+                    run = taps[lo - j * stride:hi - j * stride]
+                    o[:, lo - a:hi - a] += c[:, j:j + 1] * run
+            else:
+                for t in range(taps.size - 1, -1, -1):
+                    # the j with j * stride + t in the window
+                    lo = max(j0, -((t - a) // stride))
+                    hi = min(j1, (b - 1 - t) // stride + 1)
+                    if lo < hi:
+                        s0 = lo * stride + t - a
+                        o[:, s0:s0 + (hi - lo - 1) * stride + 1:stride] += (
+                            c[:, lo:hi] * taps[t])
     return out
 
 

@@ -37,3 +37,17 @@ def spline24(registry):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture()
+def at_buffer():
+    """call(size, kernel, *args): kernel(*args) run with numpy's ufunc
+    buffer at size, checking that the kernel leaves that size as it was."""
+    def call(size, kernel, *args):
+        with np.errstate():
+            np.setbufsize(size)
+            out = kernel(*args)
+            assert np.getbufsize() == size
+        return out
+
+    return call

@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -209,6 +211,67 @@ def test_abs_sq_complex_holds_two_frames(rng):
     assert _traced_peak(gf.abs_sq, z) <= 2 * frame + frame // 16
     sq = z.view(np.float64) * z.view(np.float64)
     assert gf.abs_sq(z).tobytes() == (sq[:, 0::2] + sq[:, 1::2]).tobytes()
+
+
+def test_kernel_buffer_is_restored_on_an_exception():
+    with np.errstate():
+        np.setbufsize(4096)
+        with pytest.raises(ZeroDivisionError):
+            with gf.kernel_buffer():
+                assert np.getbufsize() == gf.KERNEL_BUFSIZE
+                1 / 0
+        assert np.getbufsize() == 4096
+
+
+def test_kernel_buffer_is_per_thread():
+    # a pool thread inside the scope does not change the caller's size
+    inside, checked = threading.Event(), threading.Event()
+
+    def kernel():
+        with gf.kernel_buffer():
+            inside.set()
+            assert checked.wait(10)
+            return np.getbufsize()
+
+    with np.errstate():
+        np.setbufsize(4096)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            size = pool.submit(kernel)
+            assert inside.wait(10)
+            assert np.getbufsize() == 4096
+            checked.set()
+            assert size.result(timeout=10) == gf.KERNEL_BUFSIZE
+
+
+def test_abs_sq_keeps_the_callers_buffer_and_bits(rng, monkeypatch,
+                                                  at_buffer):
+    # a strided complex view, a broadcast real row and a contiguous complex
+    # frame: the bits of the body run at numpy's default buffer
+    z = rng.standard_normal((600, 2700)) + 1j * rng.standard_normal((600, 2700))
+    inputs = [z[::2, 1::3], np.broadcast_to(z[0].real[:900], (300, 900)),
+              z[:40, :900]]
+    got = [[at_buffer(size, gf.abs_sq, x) for x in inputs]
+           for size in (np.getbufsize(), 4096)]
+    monkeypatch.setattr(gf, "KERNEL_BUFSIZE", 8192)
+    for x, *outs in zip(inputs, *got):
+        want = gf.abs_sq(x).tobytes()
+        assert all(out.tobytes() == want for out in outs)
+
+
+def test_combine_keeps_the_callers_buffer_and_bits(rng, monkeypatch,
+                                                   at_buffer):
+    # weights +-1 and 0.5 on real and complex terms whose slots in the
+    # union box are strided windows of each tile
+    monkeypatch.setattr(gf, "TILE_CELLS", 1 << 14)
+    f = random_gridfn(rng, (300, 900), 6, (0, 0))
+    g = random_gridfn(rng, (250, 700), 6, (20, 150))
+    h = gf.GridFunction(rng.standard_normal((280, 600)), 6, (10, 310))
+    terms = [(1, f), (-1, g), (0.5, h), (0.5, g), (-1, h)]
+    got = [at_buffer(size, lambda: gf.combine(terms).data)
+           for size in (np.getbufsize(), 4096)]
+    monkeypatch.setattr(gf, "KERNEL_BUFSIZE", 8192)
+    want = gf.combine(terms).data.tobytes()
+    assert all(out.tobytes() == want for out in got)
 
 
 def test_bad_exponents():

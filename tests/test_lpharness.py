@@ -77,6 +77,20 @@ def test_square_function_tiles_keep_bits(db2, rng, complex_input):
     assert sf.data.tobytes() == np.sqrt(acc).tobytes()
 
 
+def test_square_function_tile_keeps_the_callers_buffer_and_bits(
+        db4, rng, monkeypatch, at_buffer):
+    # a tile of a complex 2-D input's square function: the bits of the body
+    # run at numpy's default buffer, and the caller's buffer size kept
+    data = rng.standard_normal((256, 256)) + 1j * rng.standard_normal(
+        (256, 256))
+    sf = lp.square_function(gf.GridFunction(data, 8, (0, 0)), 2, db4)
+    a, b = 40, 76
+    got = [at_buffer(size, sf.tile, a, b) for size in (np.getbufsize(), 4096)]
+    monkeypatch.setattr(gf, "KERNEL_BUFSIZE", 8192)
+    want = sf.tile(a, b).tobytes()
+    assert all(out.tobytes() == want for out in got)
+
+
 def test_square_function_single_block_level0(db4):
     # a level-0 generator shift is reproduced by the 0-block and annihilated
     # by every finer detail, so S f = |f|

@@ -283,6 +283,28 @@ def test_scatter_window_has_the_bits_of_the_frame(rng, count, ntaps,
             assert got.tobytes() == whole[:, a:b].tobytes(), (a, b)
 
 
+@pytest.mark.parametrize("count, ntaps, stride", [(20, 896, 128),
+                                                  (300, 48, 16)])
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "broadcast"])
+def test_scatter_keeps_the_callers_buffer_and_bits(rng, at_buffer, count,
+                                                   ntaps, stride, layout):
+    # the loop runs under the kernel's small ufunc buffer with cast taps:
+    # the caller's buffer size comes back, and the bits are those of the
+    # plain loop over shifts at numpy's default buffer with uncast taps
+    c = rng.standard_normal((36, 2 * count)) + 1j * rng.standard_normal(
+        (36, 2 * count))
+    c = {"contiguous": c[:, :count].copy(), "strided": c[:, ::2],
+         "broadcast": np.broadcast_to(c[:1, :count], (36, count))}[layout]
+    taps = rng.standard_normal(ntaps)
+    for coeffs in (c, c.real):
+        want = np.zeros((36, (count - 1) * stride + ntaps), coeffs.dtype)
+        for j in range(count):
+            want[:, j * stride:j * stride + ntaps] += coeffs[:, j:j + 1] * taps
+        for size in (np.getbufsize(), 4096):
+            got = at_buffer(size, mra1d._scatter, coeffs, taps, stride)
+            assert got.tobytes() == want.tobytes()
+
+
 def _pads(n, first, count, stride, size):
     """Zero cells the windows reach left and right of rows of n cells."""
     return max(0, -first), max(0, first + (count - 1) * stride + size - n)
@@ -413,6 +435,12 @@ def test_scatter_refuses_frame_over_memory_budget(monkeypatch, rng):
         mra1d._scatter(np.ones((128, 2)), taps, 1024)
     with pytest.raises(FrameTooLarge):
         mra1d._scatter(np.ones((128, 1), dtype=complex), taps, 1024)
+    # a refused frame leaves the caller's ufunc buffer size as it was
+    with np.errstate():
+        np.setbufsize(4096)
+        with pytest.raises(FrameTooLarge):
+            mra1d._scatter(np.ones((128, 2)), taps, 1024)
+        assert np.getbufsize() == 4096
 
 
 def test_frame_budget_is_the_lower_of_memory_and_cgroup_limit(monkeypatch):
