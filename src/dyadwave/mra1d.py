@@ -31,7 +31,8 @@ from .errors import LevelOverflow, ResolutionExhausted
 from .gridfn import check_frame, kernel_buffer
 
 LEVEL_HEADROOM = 4
-# bound on one temporary of the synthesis loop
+# bound on one temporary of the synthesis loops, and on the output
+# block of phase rows that one broadcast product adds into
 SCATTER_TILE_BYTES = 1 << 18
 # elements in one of the buffers through which einsum casts its operands
 EINSUM_BUFFER = 8192
@@ -113,46 +114,90 @@ def _scatter(coeffs, taps, stride, cols=None):
     cols = (a, b) makes the output columns a..b-1 only, for a tile of a
     one-row frame; None makes every column.  Each cell receives its terms
     in ascending j, so a window has the bits of the same columns of the
-    whole output.  The loop runs over the shorter of the j and the t that
-    reach the window: over j it adds a run of taps per coefficient, over
-    t, in descending order, one tap times a run of coefficients.  Row
-    tiles keep temporaries under SCATTER_TILE_BYTES where a row fits.  The
-    taps are cast once to the output dtype, the cast numpy would make for
-    every product, and the loop runs under the kernel's ufunc buffer
+    whole output.  Stacks of several rows whose runs of taps overlap, with
+    no more coefficients reaching the window than taps, go by shift; the
+    rest go by phase: one-row stacks, runs that tile the row and
+    coefficients that outnumber the taps.  The taps are cast once to the
+    output dtype, the cast numpy would make for every product, and the
+    loops run under the kernel's ufunc buffer
     (:func:`gridfn.kernel_buffer`), which keeps the short broadcast and
     strided rows off numpy's buffered copies.  An output over the frame
     budget raises FrameTooLarge unallocated (:func:`gridfn.check_frame`).
     """
     rows, count = coeffs.shape
     a, b = cols or (0, (count - 1) * stride + taps.size)
-    dtype = np.result_type(coeffs, taps)
-    check_frame((rows, b - a), dtype)
-    out = np.zeros((rows, b - a), dtype=dtype)
-    taps = taps.astype(dtype, copy=False)
+    taps = taps.astype(np.result_type(coeffs, taps), copy=False)
     # the coefficients j0..j1-1 reach the window
     j0 = max(0, (a - taps.size) // stride + 1)
     j1 = min(count, (b - 1) // stride + 1)
-    by_shift = j1 - j0 <= taps.size
+    by_column = j1 - j0 > taps.size
+    if rows > 1 and taps.size > stride and not by_column:
+        return _scatter_by_shift(coeffs, taps, stride, a, b, range(j0, j1))
+    return _scatter_by_phase(coeffs, taps, stride, a, b, by_column)
+
+
+def _scatter_by_shift(coeffs, taps, stride, a, b, shifts):
+    """Columns a..b-1 of :func:`_scatter`: each coefficient j in shifts
+    adds its run of taps, in row tiles whose temporaries stay under
+    SCATTER_TILE_BYTES where a row fits."""
+    rows, count = coeffs.shape
+    check_frame((rows, b - a), taps.dtype)
+    out = np.zeros((rows, b - a), dtype=taps.dtype)
     tile = max(1, SCATTER_TILE_BYTES // (out.itemsize * max(count, taps.size)))
     with kernel_buffer():
         for r0 in range(0, rows, tile):
             c, o = coeffs[r0:r0 + tile], out[r0:r0 + tile]
-            if by_shift:
-                for j in range(j0, j1):
-                    lo = max(a, j * stride)
-                    hi = min(b, j * stride + taps.size)
-                    run = taps[lo - j * stride:hi - j * stride]
-                    o[:, lo - a:hi - a] += c[:, j:j + 1] * run
-            else:
-                for t in range(taps.size - 1, -1, -1):
-                    # the j with j * stride + t in the window
-                    lo = max(j0, -((t - a) // stride))
-                    hi = min(j1, (b - 1 - t) // stride + 1)
-                    if lo < hi:
-                        s0 = lo * stride + t - a
-                        o[:, s0:s0 + (hi - lo - 1) * stride + 1:stride] += (
-                            c[:, lo:hi] * taps[t])
+            for j in shifts:
+                lo = max(a, j * stride)
+                hi = min(b, j * stride + taps.size)
+                run = taps[lo - j * stride:hi - j * stride]
+                o[:, lo - a:hi - a] += c[:, j:j + 1] * run
     return out
+
+
+def _scatter_by_phase(coeffs, taps, stride, a, b, by_column):
+    """Columns a..b-1 of :func:`_scatter`, made in the whole phase rows q
+    that hold them, viewed as (rows, q, stride) and checked against the
+    frame budget whole (up to two strides wider than the window).  Tap
+    run l, taps[l * stride:(l + 1) * stride], reaches phase row q from
+    coefficient q - l.  In blocks of rows and of q whose temporaries stay
+    under SCATTER_TILE_BYTES, l runs down from the last run to 0, as one
+    broadcast product per run or, by_column, one per phase column.  Where
+    taps.size == stride each cell has one term: the product is written in
+    place, with no zero fill, and ``+= 0.0`` turns -0.0 into +0.0, as the
+    sum 0 + x does."""
+    rows, count = coeffs.shape
+    # the phase rows q_a..q_b-1 hold the window
+    q_a, q_b = a // stride, -(-b // stride)
+    check_frame((rows, (q_b - q_a) * stride), taps.dtype)
+    once = taps.size == stride
+    out = (np.empty if once else np.zeros)((rows, q_b - q_a, stride),
+                                           taps.dtype)
+    # cells of a block's temporary: of its phase rows, or of one column
+    cells = SCATTER_TILE_BYTES // (out.itemsize * (1 if by_column else stride))
+    block_q = max(1, min(q_b - q_a, cells))
+    block_rows = max(1, cells // block_q)
+    with kernel_buffer():
+        for r0 in range(0, rows, block_rows):
+            for q0 in range(q_a, q_b, block_q):
+                q1 = min(q_b, q0 + block_q)
+                for l in range(-(-taps.size // stride) - 1, -1, -1):
+                    lo, hi = max(q0, l), min(q1, count + l)
+                    if lo >= hi:
+                        continue
+                    run = taps[l * stride:(l + 1) * stride]
+                    c = coeffs[r0:r0 + block_rows, lo - l:hi - l]
+                    o = out[r0:r0 + block_rows, lo - q_a:hi - q_a, :run.size]
+                    terms = ([(o[:, :, p], c, run[p]) for p in range(run.size)]
+                             if by_column else [(o, c[:, :, None], run)])
+                    for dst, src, tap in terms:
+                        if once:
+                            np.multiply(src, tap, out=dst)
+                        else:
+                            dst += src * tap
+                if once:
+                    out[r0:r0 + block_rows, q0 - q_a:q1 - q_a] += 0.0
+    return out.reshape(rows, -1)[:, a - q_a * stride:b - q_a * stride]
 
 
 def analyze_rows(rows, origin, depth, level, bank):

@@ -244,6 +244,16 @@ def test_uniform_boundedness(db4, rng):
 # row kernels
 
 
+def _shift_loop(coeffs, taps, stride):
+    """Oracle: the plain loop over shifts, with uncast taps."""
+    rows, count = coeffs.shape
+    out = np.zeros((rows, (count - 1) * stride + taps.size),
+                   np.result_type(coeffs, taps))
+    for j in range(count):
+        out[:, j * stride:j * stride + taps.size] += coeffs[:, j:j + 1] * taps
+    return out
+
+
 @pytest.mark.parametrize("count, ntaps, stride", [
     (40, 7, 2), (40, 24, 4), (5, 48, 16), (300, 48, 16)])
 def test_scatter_adds_in_shift_order(rng, monkeypatch, count, ntaps, stride):
@@ -254,12 +264,9 @@ def test_scatter_adds_in_shift_order(rng, monkeypatch, count, ntaps, stride):
     c = rng.standard_normal((5, count)) + 1j * rng.standard_normal((5, count))
     taps = rng.standard_normal(ntaps)
     for coeffs in (c, c.real.copy()):
-        t = taps.astype(coeffs.dtype)
-        want = np.zeros((5, (count - 1) * stride + ntaps), dtype=coeffs.dtype)
-        for j in range(count):
-            want[:, j * stride:j * stride + ntaps] += coeffs[:, j:j + 1] * t
+        want = _shift_loop(coeffs, taps.astype(coeffs.dtype), stride)
         got = mra1d._scatter(coeffs, taps, stride)
-        assert got.dtype == coeffs.dtype and np.array_equal(got, want)
+        assert got.dtype == coeffs.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("count, ntaps, stride", [
@@ -297,12 +304,70 @@ def test_scatter_keeps_the_callers_buffer_and_bits(rng, at_buffer, count,
          "broadcast": np.broadcast_to(c[:1, :count], (36, count))}[layout]
     taps = rng.standard_normal(ntaps)
     for coeffs in (c, c.real):
-        want = np.zeros((36, (count - 1) * stride + ntaps), coeffs.dtype)
-        for j in range(count):
-            want[:, j * stride:j * stride + ntaps] += coeffs[:, j:j + 1] * taps
+        want = _shift_loop(coeffs, taps, stride)
         for size in (np.getbufsize(), 4096):
             got = at_buffer(size, mra1d._scatter, coeffs, taps, stride)
             assert got.tobytes() == want.tobytes()
+
+
+def _signed_zeros(rng, rows, count, ntaps):
+    """Complex coefficients and real taps with +0.0 and -0.0 among them,
+    so that some products are -0.0."""
+    c = rng.standard_normal((rows, 2 * count)) + 1j * rng.standard_normal(
+        (rows, 2 * count))
+    c[:, ::5] = -0.0
+    c[:, 1::7] = 0.0
+    c.imag[:, 2::3] = -0.0
+    taps = rng.standard_normal(ntaps)
+    taps[::4] = 0.0
+    return c, taps
+
+
+SCATTER_LOOPS = {("shift", False, False), ("phase", False, False),
+                 ("phase", True, False), ("phase", False, True),
+                 ("phase", True, True)}
+
+
+def test_scatter_by_phase_has_the_bits_of_the_shift_loop(rng, monkeypatch,
+                                                          at_buffer):
+    # one-row stacks with windows at the edges and off the stride, and
+    # stacks of rows whose runs of taps tile the row, against the plain
+    # loop over shifts bit for bit: real and complex, contiguous, strided
+    # and broadcast coefficients, with signed zeros, under a caller's
+    # buffer size; the spy sees every loop (by shift, by phase as broadcast
+    # runs or per phase column, and each with one term per cell)
+    reached = set()
+    for name in ("_scatter_by_shift", "_scatter_by_phase"):
+        def spy(coeffs, taps, stride, a, b, arg, _loop=getattr(mra1d, name),
+                _name=name.rsplit("_", 1)[1]):
+            reached.add((_name, arg is True, taps.size == stride))
+            return _loop(coeffs, taps, stride, a, b, arg)
+        monkeypatch.setattr(mra1d, name, spy)
+    monkeypatch.setattr(mra1d, "SCATTER_TILE_BYTES", 4096)
+    cases = [(1, 60, 112, 16), (1, 60, 100, 16), (1, 40, 16, 16),
+             (1, 300, 48, 16), (1, 3, 100, 64), (1, 300, 4, 4),
+             (6, 5, 16, 16), (6, 1, 32, 32), (6, 300, 2, 2), (6, 5, 10, 16),
+             (6, 8, 48, 16)]
+    for rows, count, ntaps, stride in cases:
+        c, taps = _signed_zeros(rng, rows, count, ntaps)
+        layouts = (c[:, :count].copy(), c[:, ::2],
+                   np.broadcast_to(c[:1, :count], (rows, count)))
+        for coeffs in layouts + tuple(x.real for x in layouts):
+            want = _shift_loop(coeffs, taps, stride)
+            width = want.shape[1]
+            windows = [None, (0, 1), (width - 1, width),
+                       (stride + 1, min(width, 3 * stride + 5)),
+                       (stride, width - stride + 1)]
+            for a, b in rng.integers(0, width, size=(4, 2)):
+                windows.append((min(a, b), max(a, b) + 1))
+            for cols in windows:
+                got = at_buffer(4096, mra1d._scatter, coeffs, taps, stride,
+                                cols)
+                a, b = cols or (0, width)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want[:, a:b].tobytes(), (
+                    rows, count, ntaps, stride, cols)
+    assert reached == SCATTER_LOOPS
 
 
 def _pads(n, first, count, stride, size):
@@ -435,6 +500,14 @@ def test_scatter_refuses_frame_over_memory_budget(monkeypatch, rng):
         mra1d._scatter(np.ones((128, 2)), taps, 1024)
     with pytest.raises(FrameTooLarge):
         mra1d._scatter(np.ones((128, 1), dtype=complex), taps, 1024)
+    # a one-row window is made from whole phase rows: 131,072 columns
+    # fit on a stride multiple, and the same width one column later
+    # spans a stride more
+    row, runs = np.ones((1, 200)), np.ones(7 * 1024)
+    window = mra1d._scatter(row, runs, 1024, (1024, 1024 + (1 << 17)))
+    assert window.nbytes == 1 << 20
+    with pytest.raises(FrameTooLarge):
+        mra1d._scatter(row, runs, 1024, (1025, 1025 + (1 << 17)))
     # a refused frame leaves the caller's ufunc buffer size as it was
     with np.errstate():
         np.setbufsize(4096)
