@@ -337,12 +337,17 @@ def test_scatter_by_phase_has_the_bits_of_the_shift_loop(rng, monkeypatch,
     # buffer size; the spy sees every loop (by shift, by phase as broadcast
     # runs or per phase column, and each with one term per cell)
     reached = set()
-    for name in ("_scatter_by_shift", "_scatter_by_phase"):
-        def spy(coeffs, taps, stride, a, b, arg, _loop=getattr(mra1d, name),
-                _name=name.rsplit("_", 1)[1]):
-            reached.add((_name, arg is True, taps.size == stride))
-            return _loop(coeffs, taps, stride, a, b, arg)
-        monkeypatch.setattr(mra1d, name, spy)
+
+    def spy(name, loop):
+        def call(coeffs, taps, stride, a, b, arg):
+            by_column = name == "phase" and bool(arg)
+            reached.add((name, by_column, taps.size == stride))
+            return loop(coeffs, taps, stride, a, b, arg)
+        return call
+
+    for name in ("shift", "phase"):
+        loop = f"_scatter_by_{name}"
+        monkeypatch.setattr(mra1d, loop, spy(name, getattr(mra1d, loop)))
     monkeypatch.setattr(mra1d, "SCATTER_TILE_BYTES", 4096)
     cases = [(1, 60, 112, 16), (1, 60, 100, 16), (1, 40, 16, 16),
              (1, 300, 48, 16), (1, 3, 100, 64), (1, 300, 4, 4),
@@ -355,12 +360,12 @@ def test_scatter_by_phase_has_the_bits_of_the_shift_loop(rng, monkeypatch,
         for coeffs in layouts + tuple(x.real for x in layouts):
             want = _shift_loop(coeffs, taps, stride)
             width = want.shape[1]
-            windows = [None, (0, 1), (width - 1, width),
-                       (stride + 1, min(width, 3 * stride + 5)),
+            windows = [(stride + 1, min(width, 3 * stride + 5)),
                        (stride, width - stride + 1)]
             for a, b in rng.integers(0, width, size=(4, 2)):
                 windows.append((min(a, b), max(a, b) + 1))
-            for cols in windows:
+            for cols in [None, (0, 1), (width - 1, width)] + [
+                    w for w in windows if w[0] < w[1]]:
                 got = at_buffer(4096, mra1d._scatter, coeffs, taps, stride,
                                 cols)
                 a, b = cols or (0, width)
