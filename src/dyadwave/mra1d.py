@@ -158,28 +158,35 @@ def _scatter_by_shift(coeffs, taps, stride, a, b, shifts):
 def _scatter_by_phase(coeffs, taps, stride, a, b, by_column):
     """Columns a..b-1 of :func:`_scatter`, made in the whole phase rows q
     that hold them, viewed as (rows, q, stride) and checked against the
-    frame budget whole (up to two strides wider than the window).  Tap
-    run l, taps[l * stride:(l + 1) * stride], reaches phase row q from
+    frame budget whole (up to two strides wider than the window).  Where
+    taps.size == stride, each cell has one term, and the product of the
+    coefficients and the taps is the output.  Otherwise tap run l,
+    taps[l * stride:(l + 1) * stride], reaches phase row q from
     coefficient q - l.  In blocks of rows and of q whose temporaries stay
     under SCATTER_TILE_BYTES, l runs down from the last run to 0, as one
-    broadcast product per run or, by_column, one per phase column.  Where
-    taps.size == stride each cell has one term: the product is written in
-    place, with no zero fill, and ``+= 0.0`` turns -0.0 into +0.0, as the
-    sum 0 + x does."""
+    broadcast product per run or, by_column, one per phase column.  A
+    stack of several rows whose window drops columns of its phase rows is
+    returned as a contiguous copy."""
     rows, count = coeffs.shape
     # the phase rows q_a..q_b-1 hold the window
     q_a, q_b = a // stride, -(-b // stride)
     check_frame((rows, (q_b - q_a) * stride), taps.dtype)
-    once = taps.size == stride
-    out = (np.empty if once else np.zeros)((rows, q_b - q_a, stride),
-                                           taps.dtype)
-    # cells of a block's temporary: of its phase rows, or of one column
-    cells = SCATTER_TILE_BYTES // (out.itemsize * (1 if by_column else stride))
-    block_q = max(1, min(q_b - q_a, cells))
-    block_rows = max(1, cells // block_q)
-    with kernel_buffer():
-        for r0 in range(0, rows, block_rows):
-            for q0 in range(q_a, q_b, block_q):
+    if taps.size == stride:
+        # phase row q is coefficient q times the taps (b <= count * stride,
+        # so q_b <= count); += 0.0 turns -0.0 into +0.0, as 0 + x does
+        with kernel_buffer():
+            out = coeffs[:, q_a:q_b, None] * taps
+            out += 0.0
+    else:
+        out = np.zeros((rows, q_b - q_a, stride), taps.dtype)
+        # cells of a block's temporary: of its phase rows, or of one column
+        cells = SCATTER_TILE_BYTES // (out.itemsize
+                                       * (1 if by_column else stride))
+        block_q = max(1, min(q_b - q_a, cells))
+        block_rows = max(1, cells // block_q)
+        with kernel_buffer():
+            for r0, q0 in itertools.product(range(0, rows, block_rows),
+                                            range(q_a, q_b, block_q)):
                 q1 = min(q_b, q0 + block_q)
                 for l in range(-(-taps.size // stride) - 1, -1, -1):
                     lo, hi = max(q0, l), min(q1, count + l)
@@ -191,13 +198,9 @@ def _scatter_by_phase(coeffs, taps, stride, a, b, by_column):
                     terms = ([(o[:, :, p], c, run[p]) for p in range(run.size)]
                              if by_column else [(o, c[:, :, None], run)])
                     for dst, src, tap in terms:
-                        if once:
-                            np.multiply(src, tap, out=dst)
-                        else:
-                            dst += src * tap
-                if once:
-                    out[r0:r0 + block_rows, q0 - q_a:q1 - q_a] += 0.0
-    return out.reshape(rows, -1)[:, a - q_a * stride:b - q_a * stride]
+                        dst += src * tap
+    out = out.reshape(rows, (q_b - q_a) * stride)
+    return np.ascontiguousarray(out[:, a - q_a * stride:b - q_a * stride])
 
 
 def analyze_rows(rows, origin, depth, level, bank):

@@ -323,25 +323,27 @@ def _signed_zeros(rng, rows, count, ntaps):
     return c, taps
 
 
-SCATTER_LOOPS = {("shift", False, False), ("phase", False, False),
-                 ("phase", True, False), ("phase", False, True),
-                 ("phase", True, True)}
+SCATTER_LOOPS = {"by shift", "by phase, broadcast", "by phase, per column",
+                 "by phase, one term"}
 
 
 def test_scatter_by_phase_has_the_bits_of_the_shift_loop(rng, monkeypatch,
                                                           at_buffer):
-    # one-row stacks with windows at the edges and off the stride, and
-    # stacks of rows whose runs of taps tile the row, against the plain
-    # loop over shifts bit for bit: real and complex, contiguous, strided
-    # and broadcast coefficients, with signed zeros, under a caller's
-    # buffer size; the spy sees every loop (by shift, by phase as broadcast
-    # runs or per phase column, and each with one term per cell)
+    # one-row stacks with windows at the edges and off the stride, stacks
+    # of rows whose runs of taps tile the row, up-steps whose last phase
+    # row overhangs and an empty stack, against the plain loop over shifts
+    # bit for bit: real and complex, contiguous, strided and broadcast
+    # coefficients, with signed zeros, under a caller's buffer size; the
+    # output is C-contiguous, and the spy sees every loop (by shift, by
+    # phase as broadcast runs, per phase column or one term per cell)
     reached = set()
 
     def spy(name, loop):
         def call(coeffs, taps, stride, a, b, arg):
-            by_column = name == "phase" and bool(arg)
-            reached.add((name, by_column, taps.size == stride))
+            form = ("by shift" if name == "shift" else
+                    "by phase, one term" if taps.size == stride else
+                    "by phase, per column" if arg else "by phase, broadcast")
+            reached.add(form)
             return loop(coeffs, taps, stride, a, b, arg)
         return call
 
@@ -352,7 +354,8 @@ def test_scatter_by_phase_has_the_bits_of_the_shift_loop(rng, monkeypatch,
     cases = [(1, 60, 112, 16), (1, 60, 100, 16), (1, 40, 16, 16),
              (1, 300, 48, 16), (1, 3, 100, 64), (1, 300, 4, 4),
              (6, 5, 16, 16), (6, 1, 32, 32), (6, 300, 2, 2), (6, 5, 10, 16),
-             (6, 8, 48, 16)]
+             (6, 8, 48, 16), (6, 300, 3, 2), (0, 60, 16, 16),
+             (0, 300, 3, 2)]
     for rows, count, ntaps, stride in cases:
         c, taps = _signed_zeros(rng, rows, count, ntaps)
         layouts = (c[:, :count].copy(), c[:, ::2],
@@ -369,9 +372,10 @@ def test_scatter_by_phase_has_the_bits_of_the_shift_loop(rng, monkeypatch,
                 got = at_buffer(4096, mra1d._scatter, coeffs, taps, stride,
                                 cols)
                 a, b = cols or (0, width)
-                assert got.dtype == want.dtype
+                assert got.dtype == want.dtype and got.flags.c_contiguous
                 assert got.tobytes() == want[:, a:b].tobytes(), (
                     rows, count, ntaps, stride, cols)
+                assert got.shape == (rows, b - a)
     assert reached == SCATTER_LOOPS
 
 
