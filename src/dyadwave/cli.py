@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import czd, gridfn, lpharness, mra1d, mrand, refinable
-from .errors import DyadwaveError, ParseError
+from .errors import DyadwaveError, FrameTooLarge, ParseError
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -327,6 +327,8 @@ def cmd_cz(args):
             tag = f"seed{seed}-alpha{alpha:g}"
             try:
                 dec = czd.cz_decompose(f, alpha)
+            except FrameTooLarge:
+                raise
             except DyadwaveError as exc:
                 (out / f"cz-{tag}.txt").write_text(f"degenerate: {exc}\n")
                 failures += 1

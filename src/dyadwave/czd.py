@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlphaTooSmall, DegenerateF
-from .gridfn import GridFunction, combine, l1_norm, lp_norm
+from .gridfn import GridFunction, check_frame, combine, l1_norm, lp_norm
 
 MAX_ROOT_EXPONENT = 40
 
@@ -173,10 +173,12 @@ def cz_decompose(f, alpha):
         _PrefixSums(data, origin, cell), alpha, depth, m)
 
     # good and bad parts live on the union of the f-box and every selected
-    # cube.  The cubes are disjoint and sorted, so W's cells in order take
-    # their cube's average from one repeat
+    # cube, which at low alpha can be many times the f-box: checked against
+    # the frame budget before either is made.  The cubes are disjoint and
+    # sorted, so W's cells in order take their cube's average from one repeat
     g_lo = min(origin, int(lo[0])) if lo.size else origin
     g_hi = max(origin + size, int(hi[-1])) if lo.size else origin + size
+    check_frame((g_hi - g_lo,), np.float64)
     g_data = np.zeros(g_hi - g_lo)
     g_data[origin - g_lo:origin - g_lo + size] = data
     w = _covered(lo, hi, g_lo, g_data.size)

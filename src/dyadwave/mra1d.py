@@ -34,8 +34,6 @@ LEVEL_HEADROOM = 4
 # bound on one temporary of the synthesis loops, and on the output
 # block of phase rows that one broadcast product adds into
 SCATTER_TILE_BYTES = 1 << 18
-# elements in one of the buffers through which einsum casts its operands
-EINSUM_BUFFER = 8192
 
 
 def _table(bank, which, gap):
@@ -52,22 +50,20 @@ def _shift_window(origin_units, size, gap, dual_support):
     return nu_min, nu_max
 
 
-def _windows(rows, start, count, stride, taps):
+def _edge_windows(rows, start, count, stride, taps):
     """out[:, j] = sum_t rows[:, start + j * stride + t] * taps[t], j < count,
-    contracted by ``np.einsum`` over a strided view: of the rows where all
-    the windows lie inside them, else of a zero-padded copy of only the
-    columns the windows reach."""
-    n, end = rows.shape[1], start + (count - 1) * stride + taps.size
-    if start < 0 or end > n:
-        slab = np.zeros((len(rows), end - start), rows.dtype)
-        c0, c1 = max(0, start), min(end, n)
-        if c0 < c1:
-            slab[:, c0 - start:c1 - start] = rows[:, c0:c1]
-        rows, start = slab, 0
-    s0, s1 = rows.strides
-    view = as_strided(rows[:, start:], shape=(len(rows), count, taps.size),
-                      strides=(s0, stride * s1, s1))
-    return np.einsum("ijk,k->ij", view, taps.astype(np.complex128))
+    for windows that leave the rows but reach them, as every shift window
+    does: the columns c0..c1-1 they reach, a view, against a
+    (count, c1 - c0) tap matrix, zero outside each window and built with
+    one slice per window."""
+    c0 = max(0, start)
+    c1 = min(rows.shape[1], start + (count - 1) * stride + taps.size)
+    tap_matrix = np.zeros((count, c1 - c0), taps.dtype)
+    for j, row in enumerate(tap_matrix):
+        s = start + j * stride
+        a, b = max(s, c0), min(s + taps.size, c1)
+        row[a - c0:b - c0] = taps[a - s:b - s]
+    return np.einsum("ix,jx->ij", rows[:, c0:c1], tap_matrix)
 
 
 def _gather(rows, first, count, stride, taps):
@@ -76,36 +72,38 @@ def _gather(rows, first, count, stride, taps):
     Entries outside the rows count as zero.  ``np.einsum`` contracts (numpy's
     own loop in a fixed order); ``@`` would hand non-overlapping windows,
     e.g. Haar's, to BLAS, whose last bits depend on the BLAS kernel.  The
-    loop is complex even for real rows: it adds the taps in sequence,
-    numpy's float64 loop does not.  A row shorter than the window is
-    contracted whole against a (count, n) matrix of the taps, zero outside
-    each window.  Otherwise the windows inside the rows are a strided view
-    of them, and the windows that overhang on the left, and those on the
-    right, are contracted from an edge slab: a zero-padded copy of only the
-    columns they reach, never of the whole stack (:func:`_windows`).  The
-    parts are joined along the output axis.  Each output adds its taps in
-    sequence on every path, so all give the same bits -- for complex rows,
-    and for real rows whose window fits einsum's cast buffer (EINSUM_BUFFER
-    elements).  Real rows with a longer window keep the window path: there
-    einsum adds the window in buffer-sized parts, in the view and the slabs
-    alike.
+    windows inside the rows are a strided view of them.  The run of
+    windows before them overhangs on the left, the run after on the right
+    (a window can do both, and every window of a row shorter than the
+    window leaves it); each run is contracted against a tap matrix over
+    only the columns it reaches (:func:`_edge_windows`).  Real rows are
+    cast once to complex128, so einsum needs no cast buffer and each
+    output adds its taps in sequence at any window length, on every part
+    alike: numpy's float64 loop does not add in sequence.  The cast is a
+    complex copy of the rows given: in 2-D and 3-D at most one tile of the
+    function along its last axis, and along the other axes and in the
+    down-steps of :func:`level_sum` a stack of coefficients, about 2^gap
+    times smaller than the function; in 1-D the whole row.
     """
     n = rows.shape[1]
-    if n < taps.size and (np.iscomplexobj(rows) or taps.size <= EINSUM_BUFFER):
-        k = np.arange(n) - first - stride * np.arange(count)[:, None]
-        inside = (k >= 0) & (k < taps.size)
-        tap_matrix = np.where(inside, taps.astype(np.complex128)[k * inside], 0)
-        out = np.einsum("ix,jx->ij", rows, tap_matrix)
-    else:
-        # windows lo..hi-1 lie inside the rows; those before overhang on
-        # the left, those after on the right (a window can do both)
-        lo = min(count, max(0, -(first // stride)))
-        hi = max(lo, min(count, (n - taps.size - first) // stride + 1))
-        out = np.concatenate(
-            [_windows(rows, first + j0 * stride, j1 - j0, stride, taps)
-             for j0, j1 in ((0, lo), (lo, hi), (hi, count)) if j0 < j1],
-            axis=1)
-    return out if np.iscomplexobj(rows) else np.ascontiguousarray(out.real)
+    real = not np.iscomplexobj(rows)
+    rows = rows.astype(np.complex128, copy=False)
+    taps = taps.astype(np.complex128)
+    # windows lo..hi-1 lie inside the rows
+    lo = min(count, max(0, -(first // stride)))
+    hi = max(lo, min(count, (n - taps.size - first) // stride + 1))
+    out = np.empty((len(rows), count), np.complex128)
+    if lo < hi:
+        s0, s1 = rows.strides
+        view = as_strided(rows[:, first + lo * stride:],
+                          shape=(len(rows), hi - lo, taps.size),
+                          strides=(s0, stride * s1, s1))
+        np.einsum("ijk,k->ij", view, taps, out=out[:, lo:hi])
+    for j0, j1 in ((0, lo), (hi, count)):
+        if j0 < j1:
+            out[:, j0:j1] = _edge_windows(rows, first + j0 * stride, j1 - j0,
+                                          stride, taps)
+    return np.ascontiguousarray(out.real) if real else out
 
 
 def _scatter(coeffs, taps, stride, cols=None):
@@ -114,44 +112,41 @@ def _scatter(coeffs, taps, stride, cols=None):
     cols = (a, b) makes the output columns a..b-1 only, for a tile of a
     one-row frame; None makes every column.  Each cell receives its terms
     in ascending j, so a window has the bits of the same columns of the
-    whole output.  Stacks of several rows whose runs of taps overlap, with
-    no more coefficients reaching the window than taps, go by shift; the
-    rest go by phase: one-row stacks, runs that tile the row and
-    coefficients that outnumber the taps.  The taps are cast once to the
-    output dtype, the cast numpy would make for every product, and the
-    loops run under the kernel's ufunc buffer
+    whole output.  Whole outputs of stacks of several rows whose runs of
+    taps overlap, with no more coefficients than taps, go by shift; the
+    rest go by phase: column windows, one-row stacks, runs that tile the
+    row and coefficients that outnumber the taps.  The taps are cast once
+    to the output dtype, the cast numpy would make for every product, and
+    the loops run under the kernel's ufunc buffer
     (:func:`gridfn.kernel_buffer`), which keeps the short broadcast and
     strided rows off numpy's buffered copies.  An output over the frame
     budget raises FrameTooLarge unallocated (:func:`gridfn.check_frame`).
     """
     rows, count = coeffs.shape
-    a, b = cols or (0, (count - 1) * stride + taps.size)
     taps = taps.astype(np.result_type(coeffs, taps), copy=False)
+    if cols is None and rows > 1 and stride < taps.size and count <= taps.size:
+        return _scatter_by_shift(coeffs, taps, stride)
+    a, b = cols or (0, (count - 1) * stride + taps.size)
     # the coefficients j0..j1-1 reach the window
     j0 = max(0, (a - taps.size) // stride + 1)
     j1 = min(count, (b - 1) // stride + 1)
-    by_column = j1 - j0 > taps.size
-    if rows > 1 and taps.size > stride and not by_column:
-        return _scatter_by_shift(coeffs, taps, stride, a, b, range(j0, j1))
-    return _scatter_by_phase(coeffs, taps, stride, a, b, by_column)
+    return _scatter_by_phase(coeffs, taps, stride, a, b, j1 - j0 > taps.size)
 
 
-def _scatter_by_shift(coeffs, taps, stride, a, b, shifts):
-    """Columns a..b-1 of :func:`_scatter`: each coefficient j in shifts
-    adds its run of taps, in row tiles whose temporaries stay under
-    SCATTER_TILE_BYTES where a row fits."""
+def _scatter_by_shift(coeffs, taps, stride):
+    """The whole output of :func:`_scatter`: each coefficient adds its run
+    of taps, in row tiles whose temporaries stay under SCATTER_TILE_BYTES
+    where a row fits."""
     rows, count = coeffs.shape
-    check_frame((rows, b - a), taps.dtype)
-    out = np.zeros((rows, b - a), dtype=taps.dtype)
-    tile = max(1, SCATTER_TILE_BYTES // (out.itemsize * max(count, taps.size)))
+    width = (count - 1) * stride + taps.size
+    check_frame((rows, width), taps.dtype)
+    out = np.zeros((rows, width), dtype=taps.dtype)
+    tile = max(1, SCATTER_TILE_BYTES // (out.itemsize * taps.size))
     with kernel_buffer():
         for r0 in range(0, rows, tile):
             c, o = coeffs[r0:r0 + tile], out[r0:r0 + tile]
-            for j in shifts:
-                lo = max(a, j * stride)
-                hi = min(b, j * stride + taps.size)
-                run = taps[lo - j * stride:hi - j * stride]
-                o[:, lo - a:hi - a] += c[:, j:j + 1] * run
+            for j in range(count):
+                o[:, j * stride:j * stride + taps.size] += c[:, j:j + 1] * taps
     return out
 
 

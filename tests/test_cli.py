@@ -3,6 +3,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,30 @@ def test_cz_suite_and_report(tmp_path, capsys):
     rc = run(["report", "--out", str(out)])
     assert rc == 0
     assert "cz: " in capsys.readouterr().out
+
+
+def test_cz_good_part_over_memory_budget_exits_2(tmp_path, capsys,
+                                                 monkeypatch):
+    # 1 MiB of physical memory: seed 0's depth-10 member, 8 KiB, fits, and
+    # so does its good part at alpha 1; at alpha 0.001 the good part is
+    # 1,179,648 cells (9 MiB), over the sixth allowed to a frame, and the
+    # run exits 2 before making it, instead of recording a degenerate
+    # decomposition
+    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    args = ["cz", "--depth", "10", "--seeds", "0", "--out", str(tmp_path)]
+    assert run(args + ["--alphas", "1"]) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run(args + ["--alphas", "0.001"]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1179648 * 8 // 16
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "a 1179648 float64 frame" in err
+    assert not (tmp_path / "cz-seed0-alpha0.001.txt").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--depth", "-1"),

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from dyadwave import cli, czd
 from dyadwave import gridfn as gf
 from dyadwave import lpharness as lp
 from dyadwave import mrand
-from dyadwave.errors import AlphaTooSmall, DegenerateF
+from dyadwave.errors import AlphaTooSmall, DegenerateF, FrameTooLarge
 
 
 def spiky(depth, seed):
@@ -106,6 +108,24 @@ def test_alpha_too_small():
     chi = gf.indicator(8, ((0.0, 1.0),))
     with pytest.raises(AlphaTooSmall):
         czd.cz_decompose(chi, 1e-14)
+
+
+def test_good_part_checked_against_the_frame_budget(monkeypatch):
+    # 1 MiB of physical memory: a frame may take 174,762 bytes.  At alpha
+    # 0.001 the selected cube [0, 512) makes the good part 524,288 cells,
+    # 512 times the member: refused before it or the bad part is made
+    chi = gf.indicator(10, ((0.0, 1.0),))
+    pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert czd.cz_decompose(chi, 1.0).good.shape == (1024,)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrameTooLarge, match="a 524288 float64 frame"):
+            czd.cz_decompose(chi, 0.001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 524288 * 8 // 16
 
 
 # ---------------------------------------------------------------------------

@@ -339,12 +339,13 @@ def test_scatter_by_phase_has_the_bits_of_the_shift_loop(rng, monkeypatch,
     reached = set()
 
     def spy(name, loop):
-        def call(coeffs, taps, stride, a, b, arg):
+        def call(coeffs, taps, stride, *window):
             form = ("by shift" if name == "shift" else
                     "by phase, one term" if taps.size == stride else
-                    "by phase, per column" if arg else "by phase, broadcast")
+                    "by phase, per column" if window[-1] else
+                    "by phase, broadcast")
             reached.add(form)
-            return loop(coeffs, taps, stride, a, b, arg)
+            return loop(coeffs, taps, stride, *window)
         return call
 
     for name in ("shift", "phase"):
@@ -422,8 +423,8 @@ ALL_OVERHANGS = {(False, False), (True, False), (False, True), (True, True)}
                                        "spline24"])
 def test_gather_matches_padded_window(registry, rng, bank_name):
     # the analysis taps at two gaps and the down-step mask, against the
-    # padded-copy oracle bit for bit: rows shorter than the window (the
-    # tap-matrix branch), and longer rows whose windows overhang on
+    # padded-copy oracle bit for bit: rows shorter than the window, whose
+    # windows all leave them, and longer rows whose windows overhang on
     # neither side, the left, the right and both
     dual = registry[bank_name].dual
     tap_sets = [(mra1d._table(registry[bank_name], "dual", gap)
@@ -446,14 +447,14 @@ def test_gather_matches_padded_window(registry, rng, bank_name):
         assert overhangs == ALL_OVERHANGS
 
 
-def test_gather_long_real_window_keeps_window_path(rng):
-    # einsum casts real rows in buffers of EINSUM_BUFFER elements and adds
-    # a longer window in parts, so a tap matrix would change the bits:
-    # such rows stay on the window path, whose view and edge slabs match
-    # the padded copy on rows shorter and longer than the window, with
-    # every overhang; complex rows need no cast
-    taps = rng.standard_normal(mra1d.EINSUM_BUFFER + 808)
-    differs, overhangs = False, set()
+def test_gather_long_real_window_adds_in_sequence(rng):
+    # a window longer than einsum's cast buffer (8,192 elements), on rows
+    # shorter and longer than it with every overhang: real rows are cast
+    # to complex before the contraction, so each output adds its taps in
+    # sequence, with the bits of the padded copy of the rows cast to
+    # complex; complex rows match the padded copy of themselves
+    taps = rng.standard_normal(8192 + 808)
+    overhangs = set()
     for n in (5000, 2 * taps.size + 3000):
         real, cplx = _gather_rows(rng, n)
         for stride in (512, 1024, 2048):
@@ -461,27 +462,20 @@ def test_gather_long_real_window_keeps_window_path(rng):
             for first, count in _window_runs(n, taps.size, stride, firsts):
                 pad_l, pad_r = _pads(n, first, count, stride, taps.size)
                 overhangs.add((pad_l > 0, pad_r > 0))
-                for rows in (real, cplx):
-                    want = _padded_gather(rows, first, count, stride, taps)
-                    got = mra1d._gather(rows, first, count, stride, taps)
-                    assert got.tobytes() == want.tobytes(), (n, stride,
-                                                             first, count)
-                if n < taps.size:
-                    k = (np.arange(n) - first
-                         - stride * np.arange(count)[:, None])
-                    inside = (k >= 0) & (k < taps.size)
-                    tap_matrix = np.where(inside, taps[k * inside],
-                                          0).astype(complex)
-                    by_matrix = np.einsum("ix,jx->ij", real, tap_matrix).real
-                    differs |= by_matrix.tobytes() != _padded_gather(
-                        real, first, count, stride, taps).tobytes()
-    assert differs
+                args = (first, count, stride, taps)
+                want = _padded_gather(real.astype(complex), *args).real
+                got = mra1d._gather(real, *args)
+                assert got.tobytes() == want.tobytes(), (n, stride, first,
+                                                         count)
+                got = mra1d._gather(cplx, *args)
+                assert got.tobytes() == _padded_gather(cplx, *args).tobytes()
     assert overhangs == ALL_OVERHANGS
 
 
 def test_gather_pads_only_the_edges(db4, rng):
-    # the windows that overhang read zero-padded copies of the columns
-    # they reach, never a padded copy of the whole stack
+    # the windows that overhang are contracted against tap matrices over
+    # the columns they reach: no zero-padded copy of the rows, not even of
+    # the columns at the edges
     gap = 7
     taps = mra1d._table(db4, "dual", gap).midpoint_samples(gap)
     stride = 1 << gap
@@ -495,7 +489,7 @@ def test_gather_pads_only_the_edges(db4, rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < rows.nbytes // 2
+    assert peak < rows.nbytes // 16
 
 
 def test_scatter_refuses_frame_over_memory_budget(monkeypatch, rng):
