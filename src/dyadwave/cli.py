@@ -26,25 +26,24 @@ EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 
 
-def parse_config(path):
-    """{dest: text} of a file of key: value lines with '#' comments; a key
-    names its flag's dest, '-' and '_' alike."""
-    return refinable.read_key_values(
-        path, lambda key: key.replace("-", "_"))[0]
-
-
 def _with_config(parser, argv, args):
     """argv parsed again with the config file's values as the command's
     defaults: a flag still wins, and each value is converted by its flag's
-    type.  Refuses a key that names no flag of the command."""
-    config = parse_config(args.config)
+    type.  A key names its flag's dest, '-' and '_' alike; one that names no
+    flag of the command, and a plot value that is no boolean, are refused."""
+    config = refinable.read_key_values(
+        args.config, lambda key: key.replace("-", "_"))[0]
     settings = set(vars(args)) - {"command", "func", "config"}
     unknown = sorted(set(config) - settings)
     if unknown:
         raise ValueError(f"{args.command} reads no config key "
                          f"{', '.join(unknown)}")
     if "plot" in config:
-        config["plot"] = config["plot"].lower() in ("1", "true", "yes", "on")
+        word = config["plot"].lower()
+        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError(f"{args.config}: plot must be 1, true, yes, on, "
+                             f"0, false, no or off, got {config['plot']!r}")
+        config["plot"] = word in ("1", "true", "yes", "on")
     parser.commands[args.command].set_defaults(**config)
     try:
         return parser.parse_args(argv)
@@ -298,7 +297,7 @@ def _cz_corpus_member(depth, seed):
     elif kind == 1:
         data = np.zeros(n)
         for _ in range(6):
-            lo = rng.integers(0, n - 1)
+            lo = rng.integers(0, max(1, n - 1))
             hi = rng.integers(lo + 1, n + 1)
             data[lo:hi] += rng.standard_normal() * 4.0
     else:
@@ -320,22 +319,29 @@ def cmd_cz(args):
     out.mkdir(parents=True, exist_ok=True)
     failures = 0
     runs = 0
+    written = []
     for seed in args.seeds:
         f = _cz_corpus_member(args.depth, seed)
         for alpha in args.alphas:
             runs += 1
             tag = f"seed{seed}-alpha{alpha:g}"
+            report, cubes = out / f"cz-{tag}.txt", out / f"cz-{tag}-cubes.csv"
             try:
                 dec = czd.cz_decompose(f, alpha)
-            except FrameTooLarge:
-                raise
+            except FrameTooLarge as exc:
+                for path in written:
+                    path.unlink(missing_ok=True)
+                raise FrameTooLarge(
+                    f"seed {seed}, alpha {alpha:g}: {exc}") from None
             except DyadwaveError as exc:
-                (out / f"cz-{tag}.txt").write_text(f"degenerate: {exc}\n")
+                written.append(report)
+                report.write_text(f"degenerate: {exc}\n")
                 failures += 1
                 continue
             checks = czd.verify_cz(dec, f)
-            czd.write_cubes_csv(dec, out / f"cz-{tag}-cubes.csv")
-            (out / f"cz-{tag}.txt").write_text(czd.format_report(dec, checks))
+            written += [cubes, report]
+            czd.write_cubes_csv(dec, cubes)
+            report.write_text(czd.format_report(dec, checks))
             if not all(c.passed for c in checks):
                 failures += 1
                 print(f"{tag}: FAIL "

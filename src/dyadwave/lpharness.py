@@ -18,7 +18,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -171,15 +171,16 @@ class KhintchineResult:
     trials: int = 0
 
 
-def khintchine_check(a, p, exact_limit=16, mc_trials=200_000, seed=0):
+def khintchine_check(a, p, mc_trials=200_000, seed=0):
     """L_p norm of sum a_k (Rademacher product)_k versus the l2 norm of a.
 
-    Exact sign-cell enumeration for families of at most `exact_limit` terms,
-    Monte Carlo with a reported standard error otherwise (TooManyTerms when
-    the fallback is disabled).  The ok-flags compare the ratio against the
-    classical window: for p >= 2 it lies in [1, sqrt(p-1)]; for p <= 2 in
-    [3^-1/2, 1].
+    Exact sign-cell enumeration for families of at most 16 terms (2^16
+    sign cells), Monte Carlo with a reported standard error otherwise
+    (TooManyTerms when the fallback is disabled).  The ok-flags compare the
+    ratio against the classical window: for p >= 2 it lies in
+    [1, sqrt(p-1)]; for p <= 2 in [3^-1/2, 1].
     """
+    exact_limit = 16
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim == 0:
         arr = arr.reshape(1)
@@ -188,21 +189,17 @@ def khintchine_check(a, p, exact_limit=16, mc_trials=200_000, seed=0):
         raise ValueError(f"exponent must be finite and > 1, got {p}")
     norm_l2 = float(np.sqrt(np.sum(np.abs(arr) ** 2)))
     if arr.size <= exact_limit:
-        method = "exact"
+        method, trials = "exact", 0
         sums = arr
         for axis in range(arr.ndim - 1, -1, -1):
             s = _axis_sign_matrix(arr.shape[axis] - 1)
             sums = np.tensordot(sums, s.astype(np.float64), axes=([axis], [1]))
             sums = np.moveaxis(sums, -1, axis)
-        moment = float(np.mean(np.abs(sums) ** p))
-        norm_lp = moment ** (1.0 / p)
-        stderr = None
-        trials = 0
     else:
         if not mc_trials:
             raise TooManyTerms(
                 f"{arr.size} terms exceed the exact limit {exact_limit}")
-        method = "monte_carlo"
+        method, trials = "monte_carlo", mc_trials
         rng = np.random.default_rng(seed)
         signs = [rng.integers(0, 2, size=(mc_trials, n)) * 2 - 1
                  for n in arr.shape]
@@ -211,14 +208,15 @@ def khintchine_check(a, p, exact_limit=16, mc_trials=200_000, seed=0):
             shape = [mc_trials] + [1] * arr.ndim
             shape[axis + 1] = arr.shape[axis]
             prod = prod * s.reshape(shape)
-        samples = np.abs(np.tensordot(prod, arr,
-                                      axes=(list(range(1, arr.ndim + 1)),
-                                            list(range(arr.ndim))))) ** p
-        moment = float(samples.mean())
-        sd = float(samples.std(ddof=1)) / math.sqrt(mc_trials)
-        norm_lp = moment ** (1.0 / p)
+        sums = np.tensordot(prod, arr, axes=(list(range(1, arr.ndim + 1)),
+                                             list(range(arr.ndim))))
+    samples = np.abs(sums) ** p
+    moment = float(samples.mean())
+    norm_lp = moment ** (1.0 / p)
+    stderr = None
+    if trials:
+        sd = float(samples.std(ddof=1)) / math.sqrt(trials)
         stderr = (norm_lp / (p * moment) * sd) if moment > 0 else 0.0
-        trials = mc_trials
     if norm_l2 == 0.0:
         ratio = 0.0
         lower_ok = upper_ok = True
@@ -347,9 +345,7 @@ class RatioRecord:
     runtime: float = 0.0
 
 
-CSV_COLUMNS = ["function_id", "filters", "dim", "p", "depth", "max_level",
-               "norm_f", "norm_sf", "ratio", "sign_ratio_max", "tail_rel",
-               "status", "reason"]
+CSV_COLUMNS = [c.name for c in fields(RatioRecord) if c.name != "runtime"]
 
 
 def _fmt(x):
@@ -369,15 +365,15 @@ def write_ratio_csv(records, path):
 def _entry_records(args):
     (fid, f, p_list, assignment, max_level, trials, seed, index) = args
     t0 = time.perf_counter()
-    filters = "+".join(b.bank_id for b in assignment)
+    record = functools.partial(
+        RatioRecord, function_id=fid, dim=f.dim, depth=f.depth,
+        filters="+".join(b.bank_id for b in assignment), max_level=max_level)
     # the L2 norm for the zero test rides on the same pass as the others
     nf2, *nf = lp_norms(f, [2.0, *p_list])
     if nf2 == 0.0:
-        return [RatioRecord(
-            function_id=fid, filters=filters, dim=f.dim,
-            p=float(p), depth=f.depth, max_level=max_level, norm_f=0.0,
-            norm_sf=0.0, ratio=0.0, sign_ratio_max=0.0, tail_rel=0.0,
-            status="skipped", reason="zero norm") for p in p_list]
+        return [record(p=float(p), norm_f=0.0, norm_sf=0.0, ratio=0.0,
+                       sign_ratio_max=0.0, tail_rel=0.0, status="skipped",
+                       reason="zero norm") for p in p_list]
     # each operator output, the tail f - E_K f too, makes its cells tile by
     # tile as lp_norms reads them: no frame of any of them is held
     nsf = lp_norms(square_function(f, max_level, assignment), p_list)
@@ -391,11 +387,10 @@ def _entry_records(args):
     records = []
     for i, p in enumerate(p_list):
         smax = max((ns[i] / nf[i] for ns in nsigned), default=0.0)
-        records.append(RatioRecord(
-            function_id=fid, filters=filters, dim=f.dim,
-            p=float(p), depth=f.depth, max_level=max_level, norm_f=nf[i],
-            norm_sf=nsf[i], ratio=nsf[i] / nf[i], sign_ratio_max=smax,
-            tail_rel=tail[i] / nf[i], runtime=time.perf_counter() - t0))
+        records.append(record(
+            p=float(p), norm_f=nf[i], norm_sf=nsf[i], ratio=nsf[i] / nf[i],
+            sign_ratio_max=smax, tail_rel=tail[i] / nf[i],
+            runtime=time.perf_counter() - t0))
     return records
 
 
@@ -448,12 +443,12 @@ def write_summary(summary, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_ratio_svg(records, path, width=640, height=420):
-    """Standalone SVG of ratio vs p, one polyline per function id."""
+def write_ratio_svg(records, path):
+    """Standalone 640 x 420 SVG of ratio vs p, one polyline per function id."""
+    width, height = 640, 420
     ok = [r for r in records if r.status == "ok"]
     if not ok:
         body = ['<text x="20" y="40">no data</text>']
-        xs = ys = []
     else:
         ps = sorted({r.p for r in ok})
         ids = sorted({r.function_id for r in ok})

@@ -268,6 +268,26 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "trials = 0" in text  # flag beat the config value
 
 
+@pytest.mark.parametrize("value, rc, svg", [
+    ("YES", 0, True), ("On", 0, True), ("1", 0, True),
+    ("False", 0, False), ("off", 0, False), ("0", 0, False),
+    ("ture", 2, False), ("", 2, False)])
+def test_config_plot_value(value, rc, svg, tmp_path, capsys):
+    # the boolean words in any case; any other value exits 2 naming plot
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"plot: {value}\n")
+    out = tmp_path / "o"
+    assert run(["lp-sweep", "--banks", "haar", "--depth", "7", "--max-level",
+                "1", "--trials", "0", "--config", str(cfg),
+                "--out", str(out)]) == rc
+    assert (out / "ratios.svg").exists() == svg
+    if rc:
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: plot must be")
+        assert f"got {value!r}" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command, keys", [
     (["cz", "--depth", "9", "--alphas", "1"], "seed: 3\ncache: {cache}\n"),
     (["lp-sweep", "--banks", "haar", "--depth", "7", "--max-level", "1",
@@ -325,6 +345,22 @@ def test_cz_good_part_over_memory_budget_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "a 1179648 float64 frame" in err
     assert not (tmp_path / "cz-seed0-alpha0.001.txt").exists()
+    # refused after alpha 1's files were written: it leaves none of them,
+    # and names the seed and alpha it was refused for
+    out = tmp_path / "both"
+    assert run(["cz", "--depth", "10", "--seeds", "0", "--alphas",
+                "1,0.001", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed 0" in err and "alpha 0.001" in err
+    assert list(out.glob("cz-*")) == []
+
+
+def test_cz_depth_0(tmp_path, capsys):
+    # one cell: the step kind (seed 1) draws its runs from the only cell
+    rc = run(["cz", "--depth", "0", "--seeds", "0,1,2", "--alphas", "0.5,1",
+              "--out", str(tmp_path)])
+    assert rc == 0
+    assert "6 decompositions, 0 failures" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag, value", [("--depth", "-1"),
